@@ -32,10 +32,11 @@ Two series:
   the occurrence index and bucket member lists in O(its own cells).
   `session.stats()` is asserted, not inferred: every delete must be
   served by the `retire_fast` counter with zero rebuilds.
-* **parallel verification** (PR 6): `session.verify(workers=N)` routes
-  the from-scratch reference chase through the sharded parallel executor
-  on the session's cached shard plan — a worker series (1/2/4) over a
-  two-component workload with a wide bypass payload.
+* **sharded verification**: `session.verify()` re-chases the raw rows
+  with the sharded chase on the session's cached shard plan; the series
+  races it against the same field comparison over one unsharded
+  (indexed, all-columns) reference chase, on a two-component workload
+  with a wide bypass payload.
 
 Both strategies must agree on every final fixpoint (`canonical_form`
 compared per size; a divergence aborts the benchmark with a non-zero
@@ -53,7 +54,7 @@ from repro.bench.report import (
     loglog_slope,
     time_call,
 )
-from repro.chase import ChaseSession, canonical_form, congruence_chase
+from repro.chase import ChaseSession, canonical_form, chase, congruence_chase
 from repro.core.fd import FDSet
 from repro.core.relation import Relation
 from repro.core.values import null
@@ -163,7 +164,7 @@ def run_mixed_session(schema, ops) -> Relation:
 
 
 # ---------------------------------------------------------------------------
-# parallel verification: the sharded executor behind session.verify(workers=)
+# sharded verification: session.verify() vs an unsharded reference chase
 # ---------------------------------------------------------------------------
 
 #: two independent FD chains (one shard each) over A1..A8, leaving the
@@ -191,53 +192,56 @@ def verification_session(n_rows: int) -> ChaseSession:
     return session
 
 
-def run_verification_series(sizes):
-    worker_counts = (1, 2, 4)
-    table = Table(
-        "A2d — session.verify: serial reference chase vs chase(workers=N)",
-        ["rows", "serial (s)"]
-        + [f"workers={w} (s)" for w in worker_counts]
-        + ["speedup@2"],
+def unsharded_verify(session: ChaseSession) -> bool:
+    """``session.verify()``'s field comparison against one unsharded
+    (indexed, all-columns) chase of the raw rows."""
+    mine = session.result()
+    reference = chase(session.raw_relation(), list(session.fds))
+    return (
+        [row.values for row in mine.relation.rows]
+        == [row.values for row in reference.relation.rows]
+        and mine.nec_classes == reference.nec_classes
+        and {id(k): v for k, v in mine.substitutions.items()}
+        == {id(k): v for k, v in reference.substitutions.items()}
+        and mine.has_nothing == reference.has_nothing
     )
-    serial_times = []
-    worker_times = {w: [] for w in worker_counts}
+
+
+def run_verification_series(sizes):
+    table = Table(
+        "A2d — verification: sharded session.verify() vs an unsharded "
+        "reference chase",
+        ["rows", "unsharded (s)", "sharded (s)", "speedup"],
+    )
+    unsharded_times, sharded_times = [], []
     for n in sizes:
         session = verification_session(n)
-        if not session.verify():
-            raise SystemExit(f"serial verification failed at n={n}")
+        if not (unsharded_verify(session) and session.verify()):
+            raise SystemExit(f"verification failed at n={n}")
         repeat = bench_repeat(2)
-        serial_t = time_call(lambda: session.verify(), repeat=repeat)
-        serial_times.append(serial_t)
-        for w in worker_counts:
-            if not session.verify(workers=w):
-                raise SystemExit(
-                    f"parallel verification (workers={w}) failed at n={n}"
-                )
-            worker_times[w].append(
-                time_call(
-                    lambda w=w: session.verify(workers=w), repeat=repeat
-                )
-            )
+        unsharded_times.append(
+            time_call(lambda: unsharded_verify(session), repeat=repeat)
+        )
+        sharded_times.append(time_call(session.verify, repeat=repeat))
         table.add_row(
             n,
-            serial_t,
-            *(worker_times[w][-1] for w in worker_counts),
-            f"{serial_t / worker_times[2][-1]:.1f}x",
+            unsharded_times[-1],
+            sharded_times[-1],
+            f"{unsharded_times[-1] / sharded_times[-1]:.1f}x",
         )
     table.show()
     print()
     print(
-        "series serial verify wall s by size: "
-        + " ".join(f"{t:.4f}" for t in serial_times)
+        "series unsharded verify wall s by size: "
+        + " ".join(f"{t:.4f}" for t in unsharded_times)
     )
-    for w in worker_counts:
-        print(
-            f"series parallel({w}) verify wall s by size: "
-            + " ".join(f"{t:.4f}" for t in worker_times[w])
-        )
     print(
-        "parallel verify speedup at 2 workers at largest configuration: "
-        f"{serial_times[-1] / worker_times[2][-1]:.1f}x"
+        "series sharded verify wall s by size: "
+        + " ".join(f"{t:.4f}" for t in sharded_times)
+    )
+    print(
+        "sharded verify speedup over unsharded at largest configuration: "
+        f"{unsharded_times[-1] / sharded_times[-1]:.1f}x"
     )
 
 

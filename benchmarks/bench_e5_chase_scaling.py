@@ -32,7 +32,7 @@ from repro.bench.report import (
     time_call,
 )
 from repro.chase import MODE_EXTENDED, canonical_form, chase, congruence_chase
-from repro.chase.parallel import parallel_chase
+from repro.chase.sharded import sharded_chase
 from repro.chase.plan import plan_shards
 from repro.core.fd import FD
 from repro.core.relation import Relation
@@ -187,46 +187,37 @@ def main() -> None:
         "\nchain drives to Θ(p) — and both worklist engines avoid outright)"
     )
 
-    # E5c — the sharded parallel executor on a multi-component workload:
-    # 4 independent FD chains (one shard each) plus a wide payload of
-    # bypass columns the planner never hands to any chase engine.  The
-    # speedup is measured through the public chase(workers=N) entry point,
-    # whatever execution shape it picks for this machine (process pool on
-    # multi-core boxes, in-process vector-engine shards on single-core).
+    # E5c — the sharded chase on a multi-component workload: 4 independent
+    # FD chains (one shard each) plus a wide payload of bypass columns the
+    # planner never hands to any chase engine.  Both sides run in-process;
+    # the speedup is component planning + column bypass + the per-shard
+    # vector engine over the unified indexed chase of every column.
     n_components, comp_width, payload_cols = 4, 4, 48
     sizes = bench_sizes(geometric_sizes(1000, 2.0, 3))
-    worker_counts = (1, 2, 4)
     fds = component_fds(n_components, comp_width)
     table = Table(
-        f"E5c — sharded parallel chase ({n_components} FD components x "
+        f"E5c — sharded chase ({n_components} FD components x "
         f"{comp_width} cols + {payload_cols} bypass cols)",
-        ["n", "unified (s)"]
-        + [f"workers={w} (s)" for w in worker_counts]
-        + ["speedup@2", "same fixpoint"],
+        ["n", "unified (s)", "sharded (s)", "speedup", "same fixpoint"],
     )
-    unified_times = []
-    worker_times = {w: [] for w in worker_counts}
+    unified_times, sharded_times = [], []
     for n in sizes:
         r = component_workload(n, n_components, comp_width, payload_cols)
         unified = chase(r, fds)
+        sharded = sharded_chase(r, fds)
+        same = canonical_form(sharded.relation) == canonical_form(
+            unified.relation
+        )
         repeat = bench_repeat(2)
-        unified_t = time_call(lambda: chase(r, fds), repeat=repeat)
-        unified_times.append(unified_t)
-        same = True
-        for w in worker_counts:
-            sharded = chase(r, fds, workers=w)
-            same = same and (
-                canonical_form(sharded.relation)
-                == canonical_form(unified.relation)
-            )
-            worker_times[w].append(
-                time_call(lambda w=w: chase(r, fds, workers=w), repeat=repeat)
-            )
+        unified_times.append(time_call(lambda: chase(r, fds), repeat=repeat))
+        sharded_times.append(
+            time_call(lambda: sharded_chase(r, fds), repeat=repeat)
+        )
         table.add_row(
             n,
-            unified_t,
-            *(worker_times[w][-1] for w in worker_counts),
-            f"{unified_t / worker_times[2][-1]:.1f}x",
+            unified_times[-1],
+            sharded_times[-1],
+            f"{unified_times[-1] / sharded_times[-1]:.1f}x",
             same,
         )
     table.show()
@@ -235,17 +226,15 @@ def main() -> None:
         "series unified chase wall s by size: "
         + " ".join(f"{t:.4f}" for t in unified_times)
     )
-    for w in worker_counts:
-        print(
-            f"series parallel({w}) chase wall s by size: "
-            + " ".join(f"{t:.4f}" for t in worker_times[w])
-        )
-    for w in worker_counts[1:]:
-        print(
-            f"parallel chase speedup at {w} workers at largest configuration: "
-            f"{unified_times[-1] / worker_times[w][-1]:.1f}x "
-            "(PR-6 target at 2+: >=1.5x)"
-        )
+    print(
+        "series sharded chase wall s by size: "
+        + " ".join(f"{t:.4f}" for t in sharded_times)
+    )
+    print(
+        "sharded chase speedup over unified at largest configuration: "
+        f"{unified_times[-1] / sharded_times[-1]:.1f}x "
+        "(target: >=1.5x)"
+    )
 
     # E5d — cover-pruned planning on a redundant FD set: the workload's
     # rules are the full transitive closure of a p-chain (p(p-1)/2 FDs),
@@ -270,18 +259,18 @@ def main() -> None:
         r = chain_workload(width, pruned_n)
         unpruned_plan = plan_shards(r.schema, fds, prune=False)
         pruned_plan = plan_shards(r.schema, fds, prune=True)
-        baseline = parallel_chase(r, fds, workers=1, plan=unpruned_plan)
-        covered = parallel_chase(r, fds, workers=1, plan=pruned_plan)
+        baseline = sharded_chase(r, fds, plan=unpruned_plan)
+        covered = sharded_chase(r, fds, plan=pruned_plan)
         same = canonical_form(baseline.relation) == canonical_form(
             covered.relation
         )
         repeat = bench_repeat(2)
         unpruned_t = time_call(
-            lambda: parallel_chase(r, fds, workers=1, plan=unpruned_plan),
+            lambda: sharded_chase(r, fds, plan=unpruned_plan),
             repeat=repeat,
         )
         pruned_t = time_call(
-            lambda: parallel_chase(r, fds, workers=1, plan=pruned_plan),
+            lambda: sharded_chase(r, fds, plan=pruned_plan),
             repeat=repeat,
         )
         unpruned_times.append(unpruned_t)

@@ -76,6 +76,36 @@ RETIRED_LABELS = {
         "trailed; superseded by 'least over kleene evaluation speedup "
         "at largest configuration'"
     ),
+    (
+        "bench_e5_chase_scaling",
+        "parallel chase speedup at 2 workers at largest configuration",
+    ): (
+        "the chase process pool is deleted: on a 2-vCPU machine a 2-process "
+        "pool lost to in-process shards at every size from 1,000 to 16,000 "
+        "rows (E5c shape: 1.21-1.35 s vs 0.91-0.98 s at 4,000 rows), and "
+        "parallel(1/2/4) walls were 0.44/0.44/0.47 s, so the speedup was "
+        "planning, bypass and the vector engine; superseded by 'sharded "
+        "chase speedup over unified at largest configuration'"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "parallel chase speedup at 4 workers at largest configuration",
+    ): (
+        "the chase process pool is deleted (see the 2-worker label): "
+        "parallel(4) at 0.47 s never beat in-process parallel(1) at 0.44 s; "
+        "superseded by 'sharded chase speedup over unified at largest "
+        "configuration'"
+    ),
+    (
+        "bench_a2_incremental",
+        "parallel verify speedup at 2 workers at largest configuration",
+    ): (
+        "verify has one path now, the in-process sharded chase on the "
+        "session's cached plan (1.6-2.5x faster than the unsharded verify "
+        "at 1,000-4,000 rows on the A2d shape); no worker count is left "
+        "to vary; superseded by 'sharded verify speedup over unsharded at "
+        "largest configuration'"
+    ),
 }
 
 

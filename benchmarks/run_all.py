@@ -20,7 +20,7 @@ fast perf smoke test.  Results land in a JSON file::
           "wall_s": 1.93,
           "slopes": {"sweep log-log slope in p": 1.9, ...},
           "speedups": {"indexed speedup at largest configuration": 7.6},
-          "series": {"parallel(2) wall ms by size": [1.2, 2.6, 5.1]}
+          "series": {"sharded chase wall s by size": [0.09, 0.19, 0.4]}
         },
         ...
       }
@@ -29,10 +29,10 @@ fast perf smoke test.  Results land in a JSON file::
 Per-benchmark wall times plus every printed log-log slope, "...x"
 speedup line, and ``series <label>: v1 v2 ...`` per-size series are
 captured, giving later PRs a perf trajectory to compare against
-(committed baselines: ``BENCH_PR1.json`` … ``BENCH_PR10.json`` — the
-latest adds bench_q1's Q1c planner series: the optimizer's bucket
-equi-join vs the naive nested loop over a size ladder, field-identity
-asserted in-bench).
+(committed baselines: ``BENCH_PR1.json`` … ``BENCH_PR16.json`` — the
+latest relabels E5c and A2d to what they measure once the chase process
+pool is gone: the in-process sharded chase over the unified chase, and
+sharded verification over an unsharded reference chase).
 The JSON schema — top-level ``quick`` / ``python`` / ``platform`` /
 ``benchmarks``, per-benchmark ``status`` + ``wall_s`` with optional
 ``slopes`` / ``speedups`` / ``series`` — is guarded by
@@ -62,7 +62,7 @@ SLOPE_LINE = re.compile(r"^(?P<label>[^:]*slope[^:]*):\s*(?P<value>-?\d+(?:\.\d+
 SPEEDUP_LINE = re.compile(
     r"^(?P<label>[^:]*speedup[^:]*):\s*(?P<value>-?\d+(?:\.\d+)?)x"
 )
-#: printed lines like "series parallel(2) wall ms by size: 1.2 2.6 5.1"
+#: printed lines like "series sharded chase wall s by size: 0.09 0.19 0.4"
 SERIES_LINE = re.compile(
     r"^series\s+(?P<label>[^:]+):\s*"
     r"(?P<values>-?\d+(?:\.\d+)?(?:\s+-?\d+(?:\.\d+)?)*)\s*$"
@@ -178,14 +178,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--out", default=None,
-        help="output JSON path (default: BENCH_PR10.json at the repo root "
+        help="output JSON path (default: BENCH_PR16.json at the repo root "
         "for full runs, BENCH_QUICK.json for --quick runs, so a smoke pass "
         "never overwrites the committed full baseline)",
     )
     args = parser.parse_args(argv)
     if args.out is None:
         args.out = str(
-            REPO_ROOT / ("BENCH_QUICK.json" if args.quick else "BENCH_PR10.json")
+            REPO_ROOT / ("BENCH_QUICK.json" if args.quick else "BENCH_PR16.json")
         )
 
     scripts = discover(args.only, args.ablations)

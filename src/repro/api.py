@@ -22,11 +22,8 @@ speaks one schema:
 
 On the wire every answer-shaped response carries ``"v":``
 :data:`WIRE_VERSION` so clients can dispatch on schema revisions.  The
-old ad-hoc shapes (hand-rolled dicts and tuples per surface) are
-deprecated but still work: :class:`Answer` answers dict-style access
-(``answer["rows"]``) with a :class:`DeprecationWarning`, and the legacy
-top-level response fields remain on the wire alongside the unified
-ones.
+legacy top-level response fields remain on the wire alongside the
+unified ones.
 
 Answers are first-class relations: :meth:`Answer.relation` materializes
 the rows as a :class:`~repro.core.relation.Relation` that can seed a
@@ -35,7 +32,6 @@ chase or a :class:`~repro.ChaseSession` directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -116,44 +112,6 @@ class Answer:
         if "satisfied" in self.meta:
             return bool(self.meta["satisfied"])
         return bool(self.rows)
-
-    # -- the deprecated response-dict shape -------------------------------
-
-    def __getitem__(self, key: str) -> Any:
-        """Dict-style access, matching the old ad-hoc response shape.
-
-        Deprecated: the old surfaces returned plain dicts and callers
-        indexed them; those callers keep working against an
-        :class:`Answer`, with a warning pointing at the attribute API.
-        """
-        warnings.warn(
-            "repro: dict-style access to Answer objects is deprecated; "
-            f"use the {key!r} attribute / to_payload() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._legacy_fields()[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Deprecated dict-style ``get`` (see :meth:`__getitem__`)."""
-        warnings.warn(
-            "repro: dict-style access to Answer objects is deprecated; "
-            f"use the {key!r} attribute / to_payload() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._legacy_fields().get(key, default)
-
-    def _legacy_fields(self) -> Dict[str, Any]:
-        fields: Dict[str, Any] = {
-            "tag": self.tag,
-            "attrs": list(self.attributes),
-            "rows": [list(row) for row in self.rows],
-            "as_of": self.as_of,
-            "live": self.live,
-        }
-        fields.update(self.meta)
-        return fields
 
     # -- materialization ---------------------------------------------------
 

@@ -2,11 +2,10 @@
 
 from .congruence import CongruenceEngine, congruence_chase
 from .core import SignatureChaseCore
-from .incremental import IncrementalChase
 from .indexed import IndexedChaseState, indexed_chase
-from .parallel import parallel_chase
 from .plan import Shard, ShardPlan, fuse_for_rows, plan_shards, prune_fds
 from .session import ChaseSession, ReadLease, ResultAnswer, SessionSnapshot
+from .sharded import sharded_chase
 from .vector import VectorChaseState, vectorized_chase
 from .engine import (
     ENGINE_AUTO,
@@ -45,7 +44,6 @@ __all__ = [
     "ENGINE_INDEXED",
     "ENGINE_SWEEP",
     "ENGINE_VECTOR",
-    "IncrementalChase",
     "IndexedChaseState",
     "MODE_BASIC",
     "MODE_EXTENDED",
@@ -68,9 +66,9 @@ __all__ = [
     "indexed_chase",
     "is_minimally_incomplete",
     "minimally_incomplete",
-    "parallel_chase",
     "plan_shards",
     "prune_fds",
+    "sharded_chase",
     "vectorized_chase",
     "weakly_satisfiable",
     "x_side_substitutions",

@@ -454,7 +454,6 @@ def chase(
     strategy: str = STRATEGY_ROUND_ROBIN,
     seed: int = 0,
     engine: str = ENGINE_AUTO,
-    workers: Optional[int] = None,
 ) -> ChaseResult:
     """Run the NS-rule chase to a fixpoint.
 
@@ -478,12 +477,9 @@ def chase(
       (:mod:`repro.chase.vector`; extended mode only).
     * ``"sweep"`` — force the legacy multi-pass engine (both modes).
 
-    ``workers`` routes to the sharded parallel executor
-    (:mod:`repro.chase.parallel`): FD components chase independently, one
-    worklist each, ``workers`` processes at most (``workers=1`` runs the
-    shards serially in-process).  It is extended-mode only and mutually
-    exclusive with an explicit ``engine`` — the planner itself picks the
-    per-shard engine.
+    The sharded chase (:func:`repro.chase.sharded.sharded_chase`) is a
+    separate entry point: FD components chase independently, one vector
+    engine each, and stitch back field-identically.
 
     All paths produce identical ``relation`` / ``nec_classes`` /
     ``substitutions`` in extended mode; ``applications`` order and the
@@ -491,20 +487,6 @@ def chase(
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if workers is not None:
-        if mode != MODE_EXTENDED:
-            raise ValueError(
-                "the parallel chase implements the extended (Church-"
-                "Rosser) rules only; drop workers= for basic mode"
-            )
-        if engine != ENGINE_AUTO:
-            raise ValueError(
-                "workers= selects the sharded parallel executor, which "
-                "picks per-shard engines itself; drop engine="
-            )
-        from .parallel import parallel_chase  # local: avoids import cycle
-
-        return parallel_chase(relation, fds, workers=workers)
     if engine == ENGINE_AUTO:
         engine = ENGINE_INDEXED if mode == MODE_EXTENDED else ENGINE_SWEEP
     if engine in (ENGINE_INDEXED, ENGINE_CONGRUENCE, ENGINE_VECTOR):

@@ -1,4 +1,4 @@
-"""Shard planning for the parallel chase: FD connected components.
+"""Shard planning for the sharded chase: FD connected components.
 
 Two FDs can only ever exchange information through a shared attribute: a
 firing of ``X -> Y`` merges classes of cells in ``X ∪ Y`` columns, and a

@@ -3,8 +3,7 @@
 The paper's artifacts are all views of one object — the unique minimally
 incomplete instance of Theorem 4 — but the library used to expose it
 through disconnected surfaces: one-shot :func:`repro.chase.chase`,
-insert-only :class:`repro.chase.IncrementalChase`, re-chase-from-scratch
-:class:`repro.updates.GuardedRelation`, and stateless
+re-chase-from-scratch :class:`repro.updates.GuardedRelation`, and stateless
 :func:`repro.testfd.check_fds`.  :class:`ChaseSession` is the long-lived
 production shape behind all of them: it owns the raw tuples *and* the
 maintained Theorem-4 fixpoint, and keeps the two in lock-step across the
@@ -80,6 +79,7 @@ from ..core.values import NOTHING, Null, is_null
 from ..errors import ReproError, SchemaError
 from .core import SignatureChaseCore
 from .engine import _TAG_CONST, _TAG_NOTHING, ChaseResult
+from .sharded import sharded_chase
 
 
 class ResultAnswer(ChaseResult):
@@ -205,7 +205,6 @@ class ChaseSession(SignatureChaseCore):
         fds: Iterable[FDInput],
         rows: Iterable[Sequence[Any] | Row] = (),
         fast_retire: bool = True,
-        workers: Optional[int] = None,
         sanitize: Optional[bool] = None,
     ) -> None:
         #: opt-in invariant sweep after every public mutation
@@ -225,10 +224,8 @@ class ChaseSession(SignatureChaseCore):
         #: ``False`` forces the PR-3 rewind/rebuild discipline (kept as a
         #: switch so benchmarks and differential tests can race the two)
         self._fast_retire = fast_retire
-        #: worker count for sharded verification re-chases (``None`` keeps
-        #: them serial); the structural shard plan is computed once per FD
-        #: set and cached — :meth:`set_fds` re-plans
-        self.workers = workers
+        #: the structural shard plan for :meth:`verify`'s sharded re-chase,
+        #: computed once per FD set and cached — :meth:`set_fds` re-plans
         self._plan: Optional[Any] = None
         #: op-outcome counters, kept across rebuilds (see :meth:`stats`)
         self._stats: Dict[str, int] = {
@@ -770,26 +767,15 @@ class ChaseSession(SignatureChaseCore):
         self._plan = None
         self._rebuild(list(self._raw_rows))
 
-    def verify(self, workers: Optional[int] = None) -> bool:
+    def verify(self) -> bool:
         """Re-chase the raw rows from scratch and compare field-by-field
         against the maintained fixpoint — the session invariant, on demand.
 
-        ``workers`` selects the sharded parallel executor for the
-        reference chase (defaulting to the session's ``workers``; ``None``
-        keeps it serial), reusing the cached structural plan.
+        The reference is the sharded chase over the cached structural plan.
         """
-        from .engine import chase  # local: avoids import cycle
-
-        if workers is None:
-            workers = self.workers
-        if workers is None:
-            reference = chase(self.raw_relation(), list(self.fds))
-        else:
-            from .parallel import parallel_chase  # local: avoids cycle
-
-            reference = parallel_chase(
-                self.raw_relation(), self.fds, workers=workers, plan=self.plan()
-            )
+        reference = sharded_chase(
+            self.raw_relation(), self.fds, plan=self.plan()
+        )
         mine = self.result()
         return (
             [row.values for row in mine.relation.rows]

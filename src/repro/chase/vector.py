@@ -1,15 +1,14 @@
 """Vectorized signature recomputation for the dense single-component case.
 
 When every FD touches every other FD's attributes, the shard planner
-degenerates to one component and parallelism buys nothing.  This engine is
+degenerates to one component and sharding buys nothing.  This engine is
 the second attack route: instead of the worklist's per-``(fd, row)``
 signature dict (:class:`~repro.chase.core.SignatureChaseCore`), it keeps a
-**flat integer array of class roots per column** (stdlib ``array('q')``;
-numpy, when importable, accelerates the duplicate scan).  The union-find
-``on_union`` hook rewrites the moved cells' slots in place, so after any
-burst of merges, regrouping an FD is one linear pass over its column
-slices — no ``find`` calls, no per-row dict updates — rebucketing rows by
-reading machine integers out of contiguous memory.
+**flat integer array of class roots per column** (stdlib ``array('q')``).
+The union-find ``on_union`` hook rewrites the moved cells' slots in place,
+so after any burst of merges, regrouping an FD is one linear pass over its
+column slices — no ``find`` calls, no per-row dict updates — rebucketing
+rows by reading machine integers out of contiguous memory.
 
 Soundness of the regroup-until-clean loop: a merge that changes some row's
 X-signature for FD ``k`` necessarily moved one of that row's ``k``-lhs
@@ -21,7 +20,7 @@ regroup either fires a class-reducing merge or retires its FD from the
 dirty set, and only merges re-add entries.
 
 The result is field-identical to the other extended-mode engines (Theorem
-4); the differential suite in ``tests/chase/test_parallel.py`` pins it.
+4); the differential suite in ``tests/chase/test_sharded.py`` pins it.
 """
 
 from __future__ import annotations
@@ -33,15 +32,7 @@ from ..core.fd import FDInput
 from ..core.relation import Relation
 from .engine import MODE_EXTENDED, ChaseResult, ChaseState
 
-try:  # numpy is optional; the stdlib path is complete without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
 STRATEGY_VECTOR = "vector"
-
-#: below this row count the numpy duplicate scan costs more than it saves
-_NUMPY_MIN_ROWS = 512
 
 
 class VectorChaseState(ChaseState):
@@ -104,19 +95,6 @@ class VectorChaseState(ChaseState):
             self.passes += 1
             self._regroup(k)
 
-    def _duplicate_rows(self, roots: array):
-        """Row indices worth bucketing: those sharing a root with another
-        row in this column (numpy fast path), or all rows (fallback)."""
-        if _np is not None and len(roots) >= _NUMPY_MIN_ROWS:
-            values = _np.frombuffer(roots, dtype=_np.int64)
-            _, inverse, counts = _np.unique(
-                values, return_inverse=True, return_counts=True
-            )
-            if int(counts.max(initial=0)) <= 1:
-                return ()
-            return _np.nonzero(counts[inverse] > 1)[0].tolist()
-        return range(len(roots))
-
     def _regroup(self, k: int) -> None:
         """One linear pass over FD ``k``'s lhs column slices: bucket rows
         by signature, fire the NS-rule on every collision."""
@@ -125,9 +103,7 @@ class VectorChaseState(ChaseState):
         anchors: Dict = {}
         apply_pair = self._apply_pair
         if len(cols) == 1:
-            roots = self._roots[cols[0]]
-            for row in self._duplicate_rows(roots):
-                sig = roots[row]
+            for row, sig in enumerate(self._roots[cols[0]]):
                 anchor = anchors.setdefault(sig, row)
                 if anchor != row:
                     apply_pair(fd, anchor, row)

@@ -5,9 +5,8 @@ Usage (also via ``python -m repro``)::
     repro check  --data t.csv --fds "zip -> city state" [--convention weak]
                  [--method auto|sortmerge|pairwise|bucket|batched]
     repro chase  --data t.csv --fds "zip -> city state" [--mode extended]
-                 [--engine auto|sweep|indexed|congruence|vector] [--workers N]
+                 [--engine auto|sweep|indexed|congruence|vector]
     repro session --data t.csv --fds "zip -> city state" --script ops.txt
-                 [--workers N]
     repro db init PATH --name R --attrs "A B C" --fds "A -> B"
     repro db ingest PATH --name R [--data t.csv] [--script ops.txt]
     repro db check PATH --name R [--convention weak]
@@ -152,13 +151,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_chase(args: argparse.Namespace) -> int:
     relation = load_relation(args.data, parse_domains(args.domain))
     fds = FDSet.parse(args.fds)
-    if args.workers is not None and args.engine != ENGINE_AUTO:
-        raise ReproError(
-            "--workers selects the sharded parallel executor; drop --engine"
-        )
-    result = chase(
-        relation, fds, mode=args.mode, engine=args.engine, workers=args.workers
-    )
+    result = chase(relation, fds, mode=args.mode, engine=args.engine)
     print(result.relation.to_text())
     print()
     print(explain_chase(result))
@@ -322,12 +315,12 @@ def _cmd_session(args: argparse.Namespace) -> int:
     fds = FDSet.parse(args.fds)
     if args.data:
         relation = load_relation(args.data, parse_domains(args.domain))
-        session = ChaseSession(relation, fds, workers=args.workers)
+        session = ChaseSession(relation, fds)
     elif args.attrs:
         schema = RelationSchema(
             "R", args.attrs, domains=parse_domains(args.domain) or None
         )
-        session = ChaseSession(schema, fds, workers=args.workers)
+        session = ChaseSession(schema, fds)
     else:
         raise ReproError("session needs --data or --attrs")
 
@@ -492,9 +485,7 @@ def _format_stats(target) -> str:
 def _open_db(args: argparse.Namespace, create: bool = False) -> Database:
     # only `db init` materializes a missing directory; every other
     # subcommand treats a path with no database as the error it is
-    return Database.open(
-        args.path, sync=args.sync, create=create, workers=args.workers
-    )
+    return Database.open(args.path, sync=args.sync, create=create)
 
 
 def _cmd_db_init(args: argparse.Namespace) -> int:
@@ -590,7 +581,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.path,
             sync=args.sync,
             create=False,
-            workers=args.workers,
             window_s=args.window_ms / 1000.0,
             max_batch=args.max_batch,
             checkpoint_wal_ops=args.checkpoint_wal_ops,
@@ -695,13 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=ENGINE_AUTO,
         help="chase engine (indexed/congruence/vector are extended-mode only)",
     )
-    chase_cmd.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="sharded parallel chase across N processes (extended mode; "
-        "mutually exclusive with --engine)",
-    )
     chase_cmd.add_argument("--domain", action="append", metavar="ATTR=v1,v2")
     chase_cmd.set_defaults(func=_cmd_chase)
 
@@ -722,12 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print op-outcome counters (in-place retirements vs trail "
         "replays vs level rebuilds) before the final instance",
-    )
-    session.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="sharded parallel verification re-chases across N processes",
     )
     session.set_defaults(func=_cmd_session)
 
@@ -833,12 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=SYNC_FSYNC,
             help="append durability: fsync (default), flush, or none",
         )
-        sub.add_argument(
-            "--workers",
-            type=int,
-            metavar="N",
-            help="sharded parallel verification re-chases across N processes",
-        )
         if with_name:
             sub.add_argument("--name", required=True, help="relation name")
         return sub
@@ -936,12 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="auto-checkpoint on this wall-clock cadence while ops arrive",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="sharded parallel verification re-chases across N processes",
     )
     serve.set_defaults(func=_cmd_serve)
 

@@ -24,7 +24,6 @@ the over-defined top element).
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from typing import Any, Hashable
 
@@ -71,44 +70,19 @@ class _Nothing:
 NOTHING = _Nothing()
 
 _counter = itertools.count(1)
+#: executor threads (detached read-lease re-chases) mint nulls too
 _counter_lock = threading.Lock()
-#: label prefix distinguishing forked children: empty in the original
-#: process, the pid lineage (``"1234."``, ``"1234.1250."`` for a
-#: grandchild) after a fork.  Concurrently-live processes have distinct
-#: pids, so labels allocated by parent and children can never collide —
-#: the property the parallel chase's multiprocessing pool relies on.
-_fork_scope = ""
-
-
-def _reseed_after_fork() -> None:  # pragma: no cover - runs in fork children
-    """Give a forked child its own disjoint label range.
-
-    The child inherits the parent's counter position; without re-seeding,
-    parent and child would both hand out the *same* next labels.  The
-    label namespace is scoped by pid lineage instead; the lock is also
-    re-created, since a fork can land while another thread holds it.
-    """
-    global _counter, _counter_lock, _fork_scope
-    _counter = itertools.count(1)
-    _counter_lock = threading.Lock()
-    _fork_scope = f"{_fork_scope}{os.getpid()}."
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reseed_after_fork)
 
 
 def null(label: str | None = None) -> Null:
     """Create a fresh null value.
 
     Each call returns a brand-new unknown.  Without an explicit ``label`` a
-    process-unique number is used so printed instances stay readable
-    (prefixed by the pid lineage in forked worker processes, keeping
-    labels unique across a ``multiprocessing`` pool).
+    process-unique number is used so printed instances stay readable.
     """
     if label is None:
         with _counter_lock:
-            label = f"{_fork_scope}{next(_counter)}"
+            label = str(next(_counter))
     return Null(label)
 
 

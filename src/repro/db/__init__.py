@@ -18,7 +18,7 @@ Module map:
   scan, op-record codec);
 * :mod:`repro.db.storage` — directory layout and atomic file writes;
 * :mod:`repro.db.recovery` — replay of log records over a
-  checkpoint-restored session, plus the recovery verifier.
+  checkpoint-restored session.
 
 Canonical null identity (the serialization layer both the log and
 checkpoints share) lives one level down, in :mod:`repro.core.codec`.
@@ -33,7 +33,6 @@ from .log import (
     GroupCommitter,
     OpLog,
 )
-from .recovery import verify_fixpoint
 from .storage import DirectoryLock
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "SYNC_FSYNC",
     "SYNC_MODES",
     "SYNC_NONE",
-    "verify_fixpoint",
 ]

@@ -57,7 +57,7 @@ from ..errors import DatabaseError
 from . import log as oplog
 from . import storage
 from .log import OpLog, SYNC_FSYNC, SYNC_MODES
-from .recovery import replay, verify_fixpoint
+from .recovery import replay
 
 _NAME = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 
@@ -252,12 +252,10 @@ class ManagedRelation:
         )
         return merged
 
-    def verify(self, workers: Optional[int] = None) -> bool:
+    def verify(self) -> bool:
         """The recovery acceptance check: maintained fixpoint ==
-        from-scratch chase of the raw rows, field-identically.
-        ``workers`` routes the reference chase through the sharded
-        parallel executor (default: the session's own setting)."""
-        return verify_fixpoint(self.session, workers=workers)
+        from-scratch chase of the raw rows, field-identically."""
+        return self.session.verify()
 
     def audit(self) -> None:
         """One sanitizer sweep over this relation, explicitly.
@@ -338,16 +336,12 @@ class Database:
         self,
         path: Union[str, Path],
         sync: str = SYNC_FSYNC,
-        workers: Optional[int] = None,
         exclusive: bool = False,
     ) -> None:
         if sync not in SYNC_MODES:
             raise DatabaseError(f"unknown sync mode {sync!r}; use {SYNC_MODES}")
         self.path = Path(path)
         self.sync = sync
-        #: worker count handed to every relation's session: sharded
-        #: parallel re-chases for ``verify`` (``None`` keeps them serial)
-        self.workers = workers
         #: hold the directory lock for the whole lifetime instead of just
         #: the init/catalog windows — the single-owner mode ``repro serve``
         #: runs in, so a second process cannot even open the directory
@@ -364,7 +358,6 @@ class Database:
         path: Union[str, Path],
         sync: str = SYNC_FSYNC,
         create: bool = True,
-        workers: Optional[int] = None,
         exclusive: bool = False,
     ) -> "Database":
         """Open and recover a database directory.
@@ -373,8 +366,6 @@ class Database:
         initialized empty; with ``create=False`` it is an error instead —
         the right mode for read/inspect flows, where silently materializing
         a fresh database at a mistyped path would masquerade as success.
-        ``workers`` enables sharded parallel verification re-chases on
-        every relation (see :meth:`ManagedRelation.verify`).
 
         Initialization and recovery run under an advisory directory lock
         (``<path>/.lock``), so two processes racing ``create=True`` on one
@@ -382,7 +373,7 @@ class Database:
         lock is kept for the handle's lifetime (released by
         :meth:`close`); otherwise it is released once loading completes.
         """
-        db = cls(path, sync, workers=workers, exclusive=exclusive)
+        db = cls(path, sync, exclusive=exclusive)
         db._load(create)
         return db
 
@@ -452,7 +443,7 @@ class Database:
                     f"malformed checkpoint for {name}: {error}"
                 ) from None
 
-        session = ChaseSession(schema, fds, rows=rows, workers=self.workers)
+        session = ChaseSession(schema, fds, rows=rows)
         wal_path = directory / storage.WAL_NAME
         records, good_bytes, torn = oplog.scan(wal_path)
         if torn:
@@ -540,7 +531,7 @@ class Database:
             schema = attributes
         else:
             schema = RelationSchema(name, attributes, domains=domains)
-        session = ChaseSession(schema, fds, workers=self.workers)
+        session = ChaseSession(schema, fds)
         with self._catalog_locked():
             # re-read the manifest under the lock: another handle may have
             # created relations since we loaded, and a duplicate — or a

@@ -109,41 +109,3 @@ def replay(
         apply_record(session, payload, codec, snapshots)
         last = seq
     return last
-
-
-def field_identical(first, second) -> bool:
-    """The engine-equivalence contract as a predicate (same-process null
-    identity; see ``tests/strategies.py`` for the asserting twin)."""
-    return (
-        [row.values for row in first.relation.rows]
-        == [row.values for row in second.relation.rows]
-        and first.nec_classes == second.nec_classes
-        and {id(k): v for k, v in first.substitutions.items()}
-        == {id(k): v for k, v in second.substitutions.items()}
-        and first.has_nothing == second.has_nothing
-    )
-
-
-def verify_fixpoint(session: ChaseSession, workers=None) -> bool:
-    """The session invariant, checked live: the maintained fixpoint is
-    field-identical to a from-scratch chase of the raw rows.
-
-    ``workers`` routes the reference chase through the sharded parallel
-    executor (defaulting to the session's own ``workers`` setting; ``None``
-    keeps it serial) — big relations verify at parallel speed."""
-    if workers is None:
-        workers = getattr(session, "workers", None)
-    if workers is None:
-        from ..chase.engine import chase  # local: avoids import cycle
-
-        reference = chase(session.raw_relation(), list(session.fds))
-    else:
-        from ..chase.parallel import parallel_chase  # local: avoids cycle
-
-        reference = parallel_chase(
-            session.raw_relation(),
-            session.fds,
-            workers=workers,
-            plan=session.plan(),
-        )
-    return field_identical(session.result(), reference)

@@ -61,7 +61,6 @@ class ReproServer:
         path: Union[str, Path],
         sync: str = SYNC_FSYNC,
         create: bool = False,
-        workers: Optional[int] = None,
         window_s: float = 0.0,
         max_batch: int = 512,
         checkpoint_wal_ops: Optional[int] = None,
@@ -71,7 +70,6 @@ class ReproServer:
         self.path = Path(path)
         self.sync = sync
         self.create = create
-        self.workers = workers
         self.window_s = window_s
         self.max_batch = max_batch
         self.checkpoint_wal_ops = checkpoint_wal_ops
@@ -90,7 +88,6 @@ class ReproServer:
             self.path,
             sync=self.sync,
             create=self.create,
-            workers=self.workers,
             exclusive=True,
         )
         self._catalog_lock = asyncio.Lock()
@@ -434,7 +431,11 @@ class ReproServer:
             loop = asyncio.get_running_loop()
             result = await loop.run_in_executor(None, materialize_and_evaluate)
         # back on the loop: enrich provenance with durable null ids and
-        # encode each null with the codec of the relation it came from
+        # encode each null with the codec of the relation it came from;
+        # codec ids are per relation, so a query over several relations
+        # qualifies each token by its origin (``{"n": "s/n0"}``), as
+        # ``as_of`` does — distinct unknowns never share a token
+        qualify = isinstance(as_of, dict)
         provenance: Dict[str, dict] = {}
         for answer in (result.certain, result.maybe):
             provenance.update(answer.provenance)
@@ -451,6 +452,8 @@ class ReproServer:
                     token = db.relation(origin).encode_value(value)
                     if isinstance(token, dict) and "n" in token:
                         record["id"] = token["n"]
+                        if qualify:
+                            token = {"n": f"{origin}/{token['n']}"}
                         null_codecs[value.label] = token
 
         def encode(value: Any) -> Any:

@@ -14,7 +14,7 @@ matches the unplanned engine byte-for-byte.
 from hypothesis import given, settings
 
 from repro.chase.indexed import indexed_chase
-from repro.chase.parallel import parallel_chase
+from repro.chase.sharded import sharded_chase
 from repro.chase.plan import fuse_for_rows, plan_shards
 from repro.core.fd import as_fd
 from repro.core.relation import Relation
@@ -149,12 +149,12 @@ class TestSingletonPlanMatchesUnplannedEngine:
         # CHASE_FD_POOL spans A..D densely; whatever the component shape,
         # the planned execution must match the unplanned engine exactly
         reference = indexed_chase(instance, fds)
-        planned = parallel_chase(instance, fds, workers=1)
+        planned = sharded_chase(instance, fds)
         assert_field_identical(planned, reference)
 
     def test_degenerate_all_columns_shard(self):
         r = rel("A B C", [("a", "-", "-"), ("a", "-", "c5")])
         fds = ["A B C -> A B C", "A -> B", "B -> C"]
         assert_field_identical(
-            parallel_chase(r, fds, workers=1), indexed_chase(r, fds)
+            sharded_chase(r, fds), indexed_chase(r, fds)
         )

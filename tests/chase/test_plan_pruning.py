@@ -10,7 +10,7 @@ closure — which the differential suite here checks field by field.
 import random
 
 from repro.chase.engine import chase
-from repro.chase.parallel import parallel_chase
+from repro.chase.sharded import sharded_chase
 from repro.chase.plan import fuse_for_rows, plan_shards, prune_fds
 from repro.chase.session import ChaseSession
 from repro.core.fd import FD
@@ -127,10 +127,8 @@ class TestDifferentialGuard:
             pruned_plan = plan_shards(SCHEMA, fds, prune=True)
             unpruned_plan = plan_shards(SCHEMA, fds, prune=False)
             assert len(pruned_plan.fds) < len(unpruned_plan.fds)
-            pruned = parallel_chase(relation, fds, workers=1, plan=pruned_plan)
-            unpruned = parallel_chase(
-                relation, fds, workers=1, plan=unpruned_plan
-            )
+            pruned = sharded_chase(relation, fds, plan=pruned_plan)
+            unpruned = sharded_chase(relation, fds, plan=unpruned_plan)
             assert [r.values for r in pruned.relation.rows] == [
                 r.values for r in unpruned.relation.rows
             ], f"trial {trial}: rows diverge"
@@ -146,7 +144,7 @@ class TestDifferentialGuard:
             fds = redundant_fd_set(rng)
             relation = random_instance(rng)
             reference = chase(relation, fds)
-            pruned = parallel_chase(relation, fds, workers=1)
+            pruned = sharded_chase(relation, fds)
             assert [r.values for r in pruned.relation.rows] == [
                 r.values for r in reference.relation.rows
             ]
@@ -154,8 +152,7 @@ class TestDifferentialGuard:
 
     def test_session_verify_holds_under_pruned_plans(self):
         rng = random.Random(13)
-        session = ChaseSession(SCHEMA, redundant_fd_set(rng), workers=1)
+        session = ChaseSession(SCHEMA, redundant_fd_set(rng))
         for row in random_instance(rng, rows=5).rows:
             session.insert(row)
         assert session.verify()
-        assert session.verify(workers=2)

@@ -1,9 +1,7 @@
 """Tests for cell values: Null identity, NOTHING, the approximation order."""
 
-import os
 import pickle
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -40,42 +38,6 @@ class TestNullIdentity:
     def test_two_same_label_nulls_still_distinct(self):
         # labels are display-only; identity is what matters
         assert null("x") != null("x")
-
-
-def _labels_in_worker(count: int) -> list:
-    """Pool worker: allocate ``count`` fresh nulls, report their labels
-    (top-level so ``multiprocessing`` can address it by reference)."""
-    return [null().label for _ in range(count)]
-
-
-class TestForkSafety:
-    """Forked workers must never reuse the parent's label range — the
-    property the parallel chase's process pool relies on."""
-
-    @pytest.mark.skipif(
-        not hasattr(os, "register_at_fork"), reason="no fork on this platform"
-    )
-    def test_forked_workers_allocate_disjoint_labels(self):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        # advance the parent's counter so children inheriting its position
-        # would collide without the after-fork reseed
-        parent_before = [null().label for _ in range(5)]
-        context = multiprocessing.get_context("fork")
-        with context.Pool(processes=2) as pool:
-            batches = pool.map(_labels_in_worker, [40, 40])
-        parent_after = [null().label for _ in range(5)]
-        child_labels = [label for batch in batches for label in batch]
-        parent_labels = parent_before + parent_after
-        # children are scoped by pid lineage: never bare parent labels
-        assert not set(child_labels) & set(parent_labels)
-        # the two workers are distinct processes with distinct scopes,
-        # and labels stay unique within each worker
-        assert len(set(child_labels)) == len(child_labels)
-        for label in child_labels:
-            assert "." in label  # pid-lineage prefix present
 
 
 class TestPredicates:

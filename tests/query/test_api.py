@@ -1,11 +1,10 @@
-"""The unified answer schema: round-trips, deprecations, integration.
+"""The unified answer schema: round-trips, integration.
 
 Every read surface returns :class:`repro.api.Answer` /
 :class:`~repro.api.ResultSet` shapes now; these tests pin the wire
-contract (versioned payloads), the deprecation path (dict-style access
-warns but works), and the first-class-result property (answers
-materialize as relations that can seed a chase, nulls surviving by
-identity).
+contract (versioned payloads) and the first-class-result property
+(answers materialize as relations that can seed a chase, nulls
+surviving by identity).
 """
 
 import warnings
@@ -83,17 +82,6 @@ class TestAnswerShape:
         payload["v"] = WIRE_VERSION + 1
         with pytest.raises(ReproError, match="schema version"):
             Answer.from_payload(payload)
-
-    def test_dict_style_access_warns_but_works(self):
-        answer = Answer(
-            TAG_CERTAIN, ("A",), (("a",),), meta={"satisfied": True}
-        )
-        with pytest.warns(DeprecationWarning, match="dict-style access"):
-            assert answer["rows"] == [["a"]]
-        with pytest.warns(DeprecationWarning):
-            assert answer.get("satisfied") is True
-        with pytest.warns(DeprecationWarning):
-            assert answer.get("missing", "fallback") == "fallback"
 
     def test_attribute_access_does_not_warn(self):
         answer = Answer(TAG_CERTAIN, ("A",), (("a",),))

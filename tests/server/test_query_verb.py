@@ -248,3 +248,31 @@ def test_single_relation_query_carries_scalar_as_of(tmp_path):
         await server.stop()
 
     asyncio.run(go())
+
+
+def test_multi_relation_answer_keeps_distinct_nulls_distinct(tmp_path):
+    """Codec ids are per relation, so the first null of ``r`` and the
+    first null of ``s`` are both ``n0``; a join answer qualifies each
+    token by its origin relation, while a one-relation answer keeps the
+    bare codec token."""
+
+    async def go():
+        server = ReproServer(tmp_path / "db", sync="flush", create=True)
+        await server.start()
+        await server.handle({"do": "create", "name": "r", "attrs": "A B"})
+        await server.handle({"do": "create", "name": "s", "attrs": "B C"})
+        await server.handle(
+            {"do": "insert", "rel": "r", "row": [{"n": None}, "b"]}
+        )
+        await server.handle(
+            {"do": "insert", "rel": "s", "row": ["b", {"n": None}]}
+        )
+        joined = await server.handle({"do": "query", "q": "r join s"})
+        single = await server.handle({"do": "query", "q": "r"})
+        await server.stop()
+        return joined, single
+
+    joined, single = asyncio.run(go())
+    assert joined["ok"] and single["ok"]
+    assert joined["certain"]["rows"] == [[{"n": "r/n0"}, "b", {"n": "s/n0"}]]
+    assert single["certain"]["rows"] == [[{"n": "n0"}, "b"]]

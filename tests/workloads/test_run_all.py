@@ -97,6 +97,7 @@ def test_committed_baselines_match_schema():
         "BENCH_PR8.json",
         "BENCH_PR9.json",
         "BENCH_PR10.json",
+        "BENCH_PR16.json",
     ):
         path = REPO_ROOT / name
         assert path.exists(), f"{name} missing from the repo root"
@@ -129,6 +130,41 @@ def test_pr10_baseline_records_planner_series():
     assert q1["speedups"][key] >= 2.0  # the PR 10 acceptance floor
     assert "naive join wall ms by size" in q1["series"]
     assert "optimized join wall ms by size" in q1["series"]
+
+
+def test_pr16_baseline_records_sharded_series():
+    """BENCH_PR16.json carries E5c and A2d under what they measure: the
+    in-process sharded chase over the unified chase (>= 1.5x on the
+    multi-component E5c workload), sharded verification over an unsharded
+    reference chase, and no worker-count labels; cover pruning and the
+    session headlines were not traded away."""
+    report = json.loads((REPO_ROOT / "BENCH_PR16.json").read_text())
+    e5 = report["benchmarks"]["bench_e5_chase_scaling"]
+    assert e5["status"] == "ok"
+    key = "sharded chase speedup over unified at largest configuration"
+    assert e5["speedups"][key] >= 1.5
+    assert e5["speedups"]["cover-pruning speedup at largest configuration"] >= 1.2
+    assert "unified chase wall s by size" in e5["series"]
+    assert "sharded chase wall s by size" in e5["series"]
+    a2 = report["benchmarks"]["bench_a2_incremental"]
+    assert a2["status"] == "ok"
+    assert (
+        "sharded verify speedup over unsharded at largest configuration"
+        in a2["speedups"]
+    )
+    assert "unsharded verify wall s by size" in a2["series"]
+    assert "sharded verify wall s by size" in a2["series"]
+    for entry in (e5, a2):
+        assert not any("workers" in label for label in entry["speedups"])
+        assert not any("parallel(" in label for label in entry["series"])
+    assert (
+        a2["speedups"]["session mixed-workload speedup at largest configuration"]
+        >= 3.0
+    )
+    assert (
+        a2["speedups"]["old-row retirement speedup at largest configuration"]
+        >= 3.0
+    )
 
 
 def test_quick_discovery_includes_a2(tmp_path):
@@ -231,7 +267,7 @@ def _run_compare(fresh_path, *extra):
 
 #: the latest committed baseline — compare.py's default reference, and the
 #: doctoring source for the negative-path tests below
-LATEST_BASELINE = "BENCH_PR10.json"
+LATEST_BASELINE = "BENCH_PR16.json"
 
 
 def test_compare_accepts_the_baseline_against_itself():
