@@ -35,7 +35,7 @@ Two series:
 * **sharded verification**: `session.verify()` re-chases the raw rows
   with the sharded chase on the session's cached shard plan; the series
   races it against the same field comparison over one unsharded
-  (indexed, all-columns) reference chase, on a two-component workload
+  (all-columns) reference chase, on a two-component workload
   with a wide bypass payload.
 
 Both strategies must agree on every final fixpoint (`canonical_form`
@@ -54,7 +54,7 @@ from repro.bench.report import (
     loglog_slope,
     time_call,
 )
-from repro.chase import ChaseSession, canonical_form, chase, congruence_chase
+from repro.chase import ChaseSession, canonical_form, chase
 from repro.core.fd import FDSet
 from repro.core.relation import Relation
 from repro.core.values import null
@@ -82,7 +82,7 @@ def run_rechase(schema, stream) -> Relation:
     result = None
     for row in stream.rows:
         rows.append(row)
-        result = congruence_chase(Relation(schema, rows), FDS)
+        result = chase(Relation(schema, rows), FDS)
     return result.relation
 
 
@@ -134,7 +134,7 @@ def mixed_ops(n_ops: int, seed: int = 67):
 
 def run_mixed_rechase(schema, ops) -> Relation:
     rows = []
-    result = congruence_chase(Relation(schema, ()), FDS)
+    result = chase(Relation(schema, ()), FDS)
     for kind, payload, back in ops:
         if kind == "insert":
             rows.append(payload)
@@ -146,7 +146,7 @@ def run_mixed_rechase(schema, ops) -> Relation:
             mapping = rows[index].as_dict()
             mapping[attr] = value
             rows[index] = rows[index].from_mapping(schema, mapping)
-        result = congruence_chase(Relation(schema, rows), FDS)
+        result = chase(Relation(schema, rows), FDS)
     return result.relation
 
 
@@ -194,7 +194,7 @@ def verification_session(n_rows: int) -> ChaseSession:
 
 def unsharded_verify(session: ChaseSession) -> bool:
     """``session.verify()``'s field comparison against one unsharded
-    (indexed, all-columns) chase of the raw rows."""
+    (all-columns) chase of the raw rows."""
     mine = session.result()
     reference = chase(session.raw_relation(), list(session.fds))
     return (
@@ -330,7 +330,7 @@ def run_retirement_series(sizes):
         same = canonical_form(slow_session.result().relation) == canonical_form(
             fast_session.result().relation
         ) and canonical_form(fast_session.result().relation) == canonical_form(
-            congruence_chase(fast_session.raw_relation(), FDS).relation
+            chase(fast_session.raw_relation(), FDS).relation
         )
         if not same:
             raise SystemExit(f"old-row-deletion fixpoints diverged at n={n}")

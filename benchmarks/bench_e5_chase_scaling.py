@@ -1,4 +1,4 @@
-"""E5 — NS-rule chase complexity: the multi-pass bound vs worklist engines.
+"""E5 — NS-rule chase complexity: the multi-pass bound vs the fast engine.
 
 Paper artifact: section 6's analysis — "The NS-rules are applied in several
 passes ... Every pass reduces the number of distinct symbols, hence we have
@@ -11,16 +11,15 @@ The separation is driven by the *pass count*.  Workload: an FD chain
 the FD list handed to the engine in anti-dependency order — every sweep
 then unlocks exactly one more level, so the pass-based engine performs
 Θ(p) sweeps of Θ(|F|·n) work each (quadratic in the chain width p), while
-the two worklist engines (the indexed NS-rule engine, now the default
-behind ``chase(mode="extended")``, and congruence closure) process the
-same merges from a worklist with no sweeps at all (linear in p).
+the extended chase behind ``chase(mode="extended")`` (the vector engine)
+regroups only the FDs a merge dirtied.
 
-Head-to-head series (three engines, identical fixpoints checked at every
-point): (a) wall time vs chain width p at fixed n — expected log-log
-slopes ≈ 2 (sweep) vs ≈ 1 (worklist engines); (b) wall time vs n at fixed
-p — all near-linear, worklist engines ahead.  The headline number is the
-speedup of the default extended-mode chase over the legacy sweep at the
-largest configuration (the PR-1 acceptance asks for ≥5×).
+Head-to-head series (identical fixpoints checked at every point): (a) wall
+time vs chain width p at fixed n — expected log-log slopes ≈ 2 (sweep) vs
+≈ 1 (extended chase); (b) wall time vs n at fixed p — both near-linear,
+the extended chase ahead.  The headline number is the speedup of the
+default extended-mode chase over the sweep at the largest configuration
+(the PR-1 acceptance asks for ≥5×).
 """
 
 from repro.bench.report import (
@@ -31,7 +30,7 @@ from repro.bench.report import (
     loglog_slope,
     time_call,
 )
-from repro.chase import MODE_EXTENDED, canonical_form, chase, congruence_chase
+from repro.chase import MODE_EXTENDED, canonical_form, chase
 from repro.chase.sharded import sharded_chase
 from repro.chase.plan import plan_shards
 from repro.core.fd import FD
@@ -104,22 +103,16 @@ def chain_workload(width: int, n_rows: int) -> Relation:
 
 
 def _engines(r, fds):
-    """(sweep, indexed-default, congruence) wall times + identity check."""
+    """(sweep, default extended chase) wall times + identity check."""
     sweep = chase(r, fds, mode=MODE_EXTENDED, engine="sweep")
-    fast = chase(r, fds, mode=MODE_EXTENDED)  # default path: indexed
-    cong = congruence_chase(r, fds)
-    same = (
-        canonical_form(sweep.relation)
-        == canonical_form(fast.relation)
-        == canonical_form(cong.relation)
-    )
+    fast = chase(r, fds, mode=MODE_EXTENDED)  # default path: vector
+    same = canonical_form(sweep.relation) == canonical_form(fast.relation)
     repeat = bench_repeat(1)
     sweep_t = time_call(
         lambda: chase(r, fds, mode=MODE_EXTENDED, engine="sweep"), repeat=repeat
     )
     fast_t = time_call(lambda: chase(r, fds, mode=MODE_EXTENDED), repeat=repeat)
-    cong_t = time_call(lambda: congruence_chase(r, fds), repeat=repeat)
-    return sweep, same, sweep_t, fast_t, cong_t
+    return sweep, same, sweep_t, fast_t
 
 
 def main() -> None:
@@ -128,70 +121,59 @@ def main() -> None:
     table = Table(
         f"E5a — chase cost vs chain width p (n = {fixed_n} rows)",
         [
-            "p", "|F|", "sweep passes", "sweep (s)", "indexed (s)",
-            "congruence (s)", "indexed speedup", "same fixpoint",
+            "p", "|F|", "sweep passes", "sweep (s)", "extended (s)",
+            "speedup", "same fixpoint",
         ],
     )
-    sweep_times, fast_times, cong_times = [], [], []
+    sweep_times, fast_times = [], []
     largest_speedup = 0.0
     for width in widths:
         fds = chain_fds(width)
         r = chain_workload(width, fixed_n)
-        slow, same, sweep_t, fast_t, cong_t = _engines(r, fds)
+        slow, same, sweep_t, fast_t = _engines(r, fds)
         sweep_times.append(sweep_t)
         fast_times.append(fast_t)
-        cong_times.append(cong_t)
         largest_speedup = sweep_t / fast_t
         table.add_row(
-            width, len(fds), slow.passes, sweep_t, fast_t, cong_t,
+            width, len(fds), slow.passes, sweep_t, fast_t,
             f"{largest_speedup:.1f}x", same,
         )
     table.show()
-    print(f"\nsweep log-log slope in p:      {loglog_slope(widths, sweep_times):.2f}  (expected ~2)")
-    print(f"indexed log-log slope in p:    {loglog_slope(widths, fast_times):.2f}  (expected ~1)")
-    print(f"congruence log-log slope in p: {loglog_slope(widths, cong_times):.2f}  (expected ~1)")
+    print(f"\nsweep log-log slope in p:          {loglog_slope(widths, sweep_times):.2f}  (expected ~2)")
+    print(f"extended chase log-log slope in p: {loglog_slope(widths, fast_times):.2f}  (expected ~1)")
     print(
-        f"indexed speedup at largest configuration: {largest_speedup:.1f}x "
-        "(PR-1 target: >=5x)"
-    )
-    print(
-        "congruence speedup at largest configuration: "
-        f"{sweep_times[-1] / cong_times[-1]:.1f}x "
-        "(shared-core congruence engine vs legacy sweep)"
+        "extended chase speedup over sweep at largest configuration: "
+        f"{largest_speedup:.1f}x (PR-1 target: >=5x)"
     )
 
     sizes = bench_sizes(geometric_sizes(200, 2.0, 4))
     fixed_p = 8
     table = Table(
         f"E5b — chase cost vs n (chain width p = {fixed_p})",
-        ["n", "sweep (s)", "indexed (s)", "congruence (s)", "indexed speedup", "same fixpoint"],
+        ["n", "sweep (s)", "extended (s)", "speedup", "same fixpoint"],
     )
-    sweep_times, fast_times, cong_times = [], [], []
+    sweep_times, fast_times = [], []
     fds = chain_fds(fixed_p)
     for n in sizes:
         r = chain_workload(fixed_p, n)
-        _, same, sweep_t, fast_t, cong_t = _engines(r, fds)
+        _, same, sweep_t, fast_t = _engines(r, fds)
         sweep_times.append(sweep_t)
         fast_times.append(fast_t)
-        cong_times.append(cong_t)
-        table.add_row(
-            n, sweep_t, fast_t, cong_t, f"{sweep_t / fast_t:.1f}x", same
-        )
+        table.add_row(n, sweep_t, fast_t, f"{sweep_t / fast_t:.1f}x", same)
     table.show()
-    print(f"\nsweep log-log slope in n:      {loglog_slope(sizes, sweep_times):.2f}")
-    print(f"indexed log-log slope in n:    {loglog_slope(sizes, fast_times):.2f}")
-    print(f"congruence log-log slope in n: {loglog_slope(sizes, cong_times):.2f}")
+    print(f"\nsweep log-log slope in n:          {loglog_slope(sizes, sweep_times):.2f}")
+    print(f"extended chase log-log slope in n: {loglog_slope(sizes, fast_times):.2f}")
     print(
         "\n(the paper's O(|F|·n³·p) is a conservative bound; measured"
         "\nbehaviour is governed by the pass count, which the anti-ordered"
-        "\nchain drives to Θ(p) — and both worklist engines avoid outright)"
+        "\nchain drives to Θ(p) — and the extended chase avoids outright)"
     )
 
     # E5c — the sharded chase on a multi-component workload: 4 independent
     # FD chains (one shard each) plus a wide payload of bypass columns the
-    # planner never hands to any chase engine.  Both sides run in-process;
-    # the speedup is component planning + column bypass + the per-shard
-    # vector engine over the unified indexed chase of every column.
+    # planner never hands to any chase engine.  Both sides run in-process
+    # on the vector engine; the speedup is component planning + column
+    # bypass over the unified chase of every column.
     n_components, comp_width, payload_cols = 4, 4, 48
     sizes = bench_sizes(geometric_sizes(1000, 2.0, 3))
     fds = component_fds(n_components, comp_width)
@@ -303,17 +285,10 @@ def bench_sweep_chase_chain(benchmark) -> None:
     assert not result.has_nothing
 
 
-def bench_indexed_chase_chain(benchmark) -> None:
+def bench_extended_chase_chain(benchmark) -> None:
     fds = chain_fds(12)
     r = chain_workload(12, 300)
     result = benchmark(lambda: chase(r, fds, mode=MODE_EXTENDED))
-    assert not result.has_nothing
-
-
-def bench_congruence_chase_chain(benchmark) -> None:
-    fds = chain_fds(12)
-    r = chain_workload(12, 300)
-    result = benchmark(lambda: congruence_chase(r, fds))
     assert not result.has_nothing
 
 

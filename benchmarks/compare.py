@@ -60,11 +60,11 @@ BASELINE_PATTERN = re.compile(r"^BENCH_PR(\d+)\.json$")
 TOP_LEVEL_KEYS = {"quick", "python", "platform", "benchmarks"}
 ENTRY_STATUSES = ("ok", "error", "timeout")
 
-#: metric labels a later PR *deliberately* stopped printing, with the
-#: reason — a vanished label normally means "the fast path stopped
-#: firing", so retirement must be explicit and explained here.  Keyed
-#: by (benchmark stem, label); matching vanishes are reported as info,
-#: not regressions.
+#: metric labels (speedups and slopes alike) a later PR *deliberately*
+#: stopped printing, with the reason — a vanished label normally means
+#: "the fast path stopped firing", so retirement must be explicit and
+#: explained here.  Keyed by (benchmark stem, label); matching vanishes
+#: are reported as info, not regressions.
 RETIRED_LABELS = {
     (
         "bench_q1_query",
@@ -105,6 +105,80 @@ RETIRED_LABELS = {
         "at 1,000-4,000 rows on the A2d shape); no worker count is left "
         "to vary; superseded by 'sharded verify speedup over unsharded at "
         "largest configuration'"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "indexed speedup at largest configuration",
+    ): (
+        "the indexed engine is deleted: chase() runs the vector engine in "
+        "extended mode, which was faster on E5a p=32 n=400 (87 vs 144 ms), "
+        "E5b n=1600 (91 vs 141 ms) and E5d p=16 (49 vs 200 ms) on a 2-vCPU "
+        "machine; BENCH_PR16 recorded 4.5x; superseded by 'extended chase "
+        "speedup over sweep at largest configuration'"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "congruence speedup at largest configuration",
+    ): (
+        "the congruence engine is deleted: it ran the indexed engine's "
+        "core with another firing hook (BENCH_PR16: 5.4x vs indexed 4.5x; "
+        "E5b n=1600: 122 ms vs vector 91 ms); superseded by 'extended "
+        "chase speedup over sweep at largest configuration'"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "indexed log-log slope in p",
+    ): (
+        "the indexed engine is deleted (BENCH_PR16 slope 1.22); superseded "
+        "by 'extended chase log-log slope in p'"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "indexed log-log slope in n",
+    ): (
+        "the indexed engine is deleted (BENCH_PR16 slope 1.18); superseded "
+        "by 'extended chase log-log slope in n'"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "congruence log-log slope in p",
+    ): (
+        "the congruence engine is deleted (BENCH_PR16 slope 1.47); "
+        "superseded by 'extended chase log-log slope in p'"
+    ),
+    (
+        "bench_e5_chase_scaling",
+        "congruence log-log slope in n",
+    ): (
+        "the congruence engine is deleted (BENCH_PR16 slope 1.24); "
+        "superseded by 'extended chase log-log slope in n'"
+    ),
+    (
+        "bench_e3_testfds_scaling",
+        "log-log slope, bucket",
+    ): (
+        "check_fds_bucket is deleted: check_fds_batched is the same hash "
+        "grouping (E3b, 3,200 rows: bucket 25.0 ms, batched once per FD "
+        "22.7 ms) and beat sort-merge at all 16 points measured "
+        "(1.3-4.0x); BENCH_PR16 slope 1.01; superseded by 'log-log slope, "
+        "hash grouping'"
+    ),
+    (
+        "bench_e3_testfds_scaling",
+        "batched speedup over per-FD bucket at largest n",
+    ): (
+        "check_fds_bucket is deleted; per-FD grouping is now "
+        "check_fds_batched called once per FD, the same grouping (E3b, "
+        "3,200 rows: 25.0 vs 22.7 ms); BENCH_PR16 recorded 3.2x; "
+        "superseded by 'batched speedup over per-FD grouping at largest n'"
+    ),
+    (
+        "bench_e4_testfds_variants",
+        "bucket log-log slope",
+    ): (
+        "check_fds_bucket is deleted (BENCH_PR16 slope 1.14); E4a times "
+        "the same hash grouping through check_fds_batched; superseded by "
+        "'hash grouping log-log slope'"
     ),
 }
 
@@ -177,6 +251,16 @@ def check_schema(report: dict, label: str, problems: list) -> None:
                     )
 
 
+def _vanished(name: str, kind: str, label: str, problems: list) -> None:
+    """A baseline speedup/slope label the fresh run no longer prints: info
+    when :data:`RETIRED_LABELS` retires it, a regression otherwise."""
+    reason = RETIRED_LABELS.get((name, label))
+    if reason is not None:
+        print(f"[compare] retired: {name}: {label!r} ({reason})")
+    else:
+        problems.append(f"{name}: {kind} line {label!r} vanished")
+
+
 def compare(
     fresh: dict,
     baseline: dict,
@@ -212,13 +296,7 @@ def compare(
                 base_value / speedup_tolerance if same_mode else min_speedup
             )
             if fresh_value is None:
-                reason = RETIRED_LABELS.get((name, metric_label))
-                if reason is not None:
-                    print(f"[compare] retired: {name}: {metric_label!r} ({reason})")
-                else:
-                    problems.append(
-                        f"{name}: speedup line {metric_label!r} vanished"
-                    )
+                _vanished(name, "speedup", metric_label, problems)
             elif fresh_value < floor:
                 problems.append(
                     f"{name}: {metric_label!r} regressed: {fresh_value}x vs "
@@ -227,7 +305,7 @@ def compare(
         for metric_label, base_value in base_entry.get("slopes", {}).items():
             fresh_value = fresh_entry.get("slopes", {}).get(metric_label)
             if fresh_value is None:
-                problems.append(f"{name}: slope line {metric_label!r} vanished")
+                _vanished(name, "slope", metric_label, problems)
             elif abs(fresh_value - base_value) > slope_tolerance:
                 problems.append(
                     f"{name}: {metric_label!r} drifted: {fresh_value} vs "

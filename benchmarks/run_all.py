@@ -19,7 +19,7 @@ fast perf smoke test.  Results land in a JSON file::
           "status": "ok",
           "wall_s": 1.93,
           "slopes": {"sweep log-log slope in p": 1.9, ...},
-          "speedups": {"indexed speedup at largest configuration": 7.6},
+          "speedups": {"extended chase speedup over sweep at largest configuration": 9.0},
           "series": {"sharded chase wall s by size": [0.09, 0.19, 0.4]}
         },
         ...
@@ -29,10 +29,10 @@ fast perf smoke test.  Results land in a JSON file::
 Per-benchmark wall times plus every printed log-log slope, "...x"
 speedup line, and ``series <label>: v1 v2 ...`` per-size series are
 captured, giving later PRs a perf trajectory to compare against
-(committed baselines: ``BENCH_PR1.json`` … ``BENCH_PR16.json`` — the
-latest relabels E5c and A2d to what they measure once the chase process
-pool is gone: the in-process sharded chase over the unified chase, and
-sharded verification over an unsharded reference chase).
+(committed baselines: ``BENCH_PR1.json`` … ``BENCH_PR18.json`` — the
+latest labels E5, E3 and E4 by the role measured once each algorithm has
+one fast engine: the extended chase over the sweep, hash grouping, and
+batched over per-FD grouping).
 The JSON schema — top-level ``quick`` / ``python`` / ``platform`` /
 ``benchmarks``, per-benchmark ``status`` + ``wall_s`` with optional
 ``slopes`` / ``speedups`` / ``series`` — is guarded by
@@ -58,7 +58,7 @@ REPO_ROOT = BENCH_DIR.parent
 
 #: printed lines like "sweep log-log slope in p:      1.90  (expected ~2)"
 SLOPE_LINE = re.compile(r"^(?P<label>[^:]*slope[^:]*):\s*(?P<value>-?\d+(?:\.\d+)?)")
-#: printed lines like "indexed speedup at largest configuration: 7.6x ..."
+#: printed lines like "cover-pruning speedup at largest configuration: 1.5x ..."
 SPEEDUP_LINE = re.compile(
     r"^(?P<label>[^:]*speedup[^:]*):\s*(?P<value>-?\d+(?:\.\d+)?)x"
 )
@@ -178,14 +178,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--out", default=None,
-        help="output JSON path (default: BENCH_PR16.json at the repo root "
+        help="output JSON path (default: BENCH_PR18.json at the repo root "
         "for full runs, BENCH_QUICK.json for --quick runs, so a smoke pass "
         "never overwrites the committed full baseline)",
     )
     args = parser.parse_args(argv)
     if args.out is None:
         args.out = str(
-            REPO_ROOT / ("BENCH_QUICK.json" if args.quick else "BENCH_PR16.json")
+            REPO_ROOT / ("BENCH_QUICK.json" if args.quick else "BENCH_PR18.json")
         )
 
     scripts = discover(args.only, args.ablations)

@@ -24,10 +24,12 @@ Audit scope, per entry point:
   range, no cycles, ``size`` totals equal to recomputed class
   populations), tag table keyed by exactly the live roots, occurrence
   index equal to a recomputation from the encoded cells, class weights
-  no smaller than their occurrence counts, and — at worklist quiescence
-  only — signature coverage of every live ``(fd, row)`` pair, recomputed
-  signatures, the ``_members`` ⇄ ``_sigs`` mirror, and anchor discipline
-  (every non-empty bucket anchored by one of its members).
+  no smaller than their occurrence counts, the vector engine's per-column
+  root arrays equal to the cells' class roots (run at the end of every
+  vector fixpoint), and — at worklist quiescence only — signature
+  coverage of every live ``(fd, row)`` pair, recomputed signatures, the
+  ``_members`` ⇄ ``_sigs`` mirror, and anchor discipline (every non-empty
+  bucket anchored by one of its members).
 * :func:`audit_session` — everything above, plus the slot-indirection
   bijection (injective, live slots exactly, arity preserved), mark and
   ratchet bounds, trail identity with the union-find, the null-registry
@@ -113,9 +115,12 @@ def audit_core(core: Any) -> None:
     """Audit a chase core's partition and index mirrors.
 
     Duck-typed: works on any :class:`~repro.chase.engine.ChaseState`
-    (tags + cells), with the occurrence/signature audits applying when
-    the core carries the :class:`~repro.chase.core.SignatureChaseCore`
-    machinery.  Signature-bucket audits run only at worklist quiescence
+    (tags + cells), with the occurrence audits applying when the core
+    keeps an occurrence index (the vector engine and the session), the
+    root-array audit when it keeps root arrays (the vector engine), and
+    the signature audits when it carries the
+    :class:`~repro.chase.core.SignatureChaseCore` machinery (the
+    session).  Signature-bucket audits run only at worklist quiescence
     (``_work`` empty) — mid-drain the buckets are legitimately stale.
     """
     uf = core.uf
@@ -197,6 +202,18 @@ def audit_core(core: Any) -> None:
                 f"weight[{root}] == {uf.weight[root]} but the class owns "
                 f"{owned} cell occurrences",
             )
+
+    # the vector engine's root arrays: _roots[c][r] == find(cells[r][c])
+    root_arrays = getattr(core, "_roots", None)
+    if root_arrays is not None:
+        for row, encoded in enumerate(cells):
+            for col, node in enumerate(encoded):
+                if root_arrays[col][row] != root_of[node]:
+                    _fail(
+                        "root-arrays",
+                        f"_roots[{col}][{row}] == {root_arrays[col][row]} "
+                        f"but the cell's class root is {root_of[node]}",
+                    )
 
     sigs = getattr(core, "_sigs", None)
     work = getattr(core, "_work", None)

@@ -1,16 +1,25 @@
-"""NS-rule chase, NECs, congruence closure (paper section 6)."""
+"""NS-rule chase, NECs, congruence closure (paper section 6).
 
-from .congruence import CongruenceEngine, congruence_chase
+One engine per role:
+
+* :func:`chase` with ``engine="sweep"`` — the strategy-parametric
+  Figure 5 chase (:mod:`repro.chase.engine`), the only basic-mode engine
+  and the reference every differential suite holds the others to;
+* :func:`chase` in extended mode (``engine="auto"``/``"vector"``) — the
+  batch fixpoint over maintained root arrays (:mod:`repro.chase.vector`);
+* :func:`sharded_chase` — planning plus column bypass, one vector engine
+  per FD component;
+* :class:`ChaseSession` — the incremental fixpoint on the journalled
+  worklist core (:mod:`repro.chase.core`).
+"""
+
 from .core import SignatureChaseCore
-from .indexed import IndexedChaseState, indexed_chase
 from .plan import Shard, ShardPlan, fuse_for_rows, plan_shards, prune_fds
 from .session import ChaseSession, ReadLease, ResultAnswer, SessionSnapshot
 from .sharded import sharded_chase
 from .vector import VectorChaseState, vectorized_chase
 from .engine import (
     ENGINE_AUTO,
-    ENGINE_CONGRUENCE,
-    ENGINE_INDEXED,
     ENGINE_SWEEP,
     ENGINE_VECTOR,
     MODE_BASIC,
@@ -38,13 +47,9 @@ __all__ = [
     "ChaseResult",
     "ChaseSession",
     "ChaseState",
-    "CongruenceEngine",
     "ENGINE_AUTO",
-    "ENGINE_CONGRUENCE",
-    "ENGINE_INDEXED",
     "ENGINE_SWEEP",
     "ENGINE_VECTOR",
-    "IndexedChaseState",
     "MODE_BASIC",
     "MODE_EXTENDED",
     "STRATEGY_FD_ORDER",
@@ -61,9 +66,7 @@ __all__ = [
     "canonical_form",
     "chase",
     "church_rosser_orders",
-    "congruence_chase",
     "fuse_for_rows",
-    "indexed_chase",
     "is_minimally_incomplete",
     "minimally_incomplete",
     "plan_shards",

@@ -1,14 +1,13 @@
-"""The shared chase-engine core: occurrence index, signature buckets,
+"""The session's chase core: occurrence index, signature buckets,
 weighted union-find, worklist.
 
-The paper's Theorem 4 fast path and the NS-rule chase are one fixpoint; the
-worklist indexed engine (:mod:`repro.chase.indexed`) and the
-congruence-closure engine (:mod:`repro.chase.congruence`) used to compute
-it with two parallel sets of bookkeeping — a ``class → cells`` occurrence
-index on one side, signature/use-list machinery on the other.  This module
-is the single copy both now share:
+The batch chase recomputes a fixpoint once; the session
+(:class:`~repro.chase.session.ChaseSession`) must *maintain* one across
+inserts, deletes and rollbacks, so it needs every structure below kept
+live and journalled.  This module is that bookkeeping — the machinery of
+the paper's Downey-Sethi-Tarjan footnote:
 
-1. **Precomputed projections.**  Each FD's left/right column indices are
+1. **Precomputed projections.**  Each FD's left-hand column indices are
    resolved once per state (``ChaseState._columns_of``); no
    ``schema.position`` call survives in any inner loop.
 
@@ -30,7 +29,7 @@ is the single copy both now share:
    parallel member table records every row bucketed under that signature
    (the use-list inverse a deletion needs: "who shares the victim's
    bucket").  A row whose signature lands on an occupied slot **fires**
-   against the anchor.
+   the NS-rule against the anchor.
    When a union absorbs a class (delivered through the union-find's
    ``on_union`` hook, so every merge is caught, including
    *nothing*-poisoning ones), only the rows owning an absorbed cell are
@@ -39,16 +38,13 @@ is the single copy both now share:
    cell, so anchor-table invalidation is complete.  Total re-signing work
    is proportional to cells-moved × FDs-per-column, with weighted union
    bounding how often any cell can move — the near-linear bound of the
-   paper's Downey-Sethi-Tarjan footnote.
+   paper's footnote.
 
-What *firing* means is the one thing the engines disagree on, so it is the
-one overridable hook (:meth:`SignatureChaseCore._fire`): the indexed
-engine applies the NS-rule directly (recording typed
-:class:`~repro.chase.engine.Application` entries); the congruence engine
-enqueues result-cell merges and closes over them queue-style.  Theorem 4
-(finite Church-Rosser in extended mode) is what makes the different firing
-disciplines land on the same partition; the randomized cross-engine suite
-(``tests/chase/test_indexed.py``) pins it field-by-field.
+The session drives the worklist itself (one drain per op).  Theorem 4
+(finite Church-Rosser in extended mode) is what makes its worklist order
+land on the batch engines' partition; ``tests/chase/test_session.py`` and
+``tests/chase/test_indexed.py`` pin it field-by-field against the vector
+and sweep engines.
 """
 
 from __future__ import annotations
@@ -58,6 +54,7 @@ from typing import Deque, Dict, Iterable, List, Tuple, Union
 
 from ..core.fd import FDInput
 from ..core.relation import Relation
+from ..core.schema import RelationSchema
 from .engine import MODE_EXTENDED, ChaseState
 
 #: an X-signature: a bare class root for single-attribute left-hand sides,
@@ -66,20 +63,19 @@ Signature = Union[int, Tuple[int, ...]]
 
 
 class SignatureChaseCore(ChaseState):
-    """Extended-mode chase state with the shared index/worklist machinery.
+    """Extended-mode chase state with the index/worklist machinery.
 
-    Subclasses implement :meth:`_fire` (what happens when two rows collide
-    on an FD's X-signature) and drive :meth:`run_worklist`.
+    The subclass (the session) installs the trail every edit below is
+    journalled on, fills :attr:`_work` and drains it through :meth:`_sign`.
     """
 
-    def __init__(self, relation: Relation, fds: Iterable[FDInput]) -> None:
-        super().__init__(relation, fds, MODE_EXTENDED)
-        # lhs/rhs projections, resolved once (point 1 of the module doc)
+    def __init__(self, schema: RelationSchema, fds: Iterable[FDInput]) -> None:
+        # rows enter one at a time through the session's insert path,
+        # which extends every structure below and journals each edit
+        super().__init__(Relation(schema, ()), fds, MODE_EXTENDED)
+        # lhs projections, resolved once (point 1 of the module doc)
         self._lhs_cols: List[Tuple[int, ...]] = [
             self._columns_of(fd)[1] for fd in self.fds
-        ]
-        self._rhs_cols: List[Tuple[int, ...]] = [
-            tuple(col for _, col in self._columns_of(fd)[2]) for fd in self.fds
         ]
         #: col -> FD indices with that column on their left-hand side; only
         #: those FDs can see a row's signature change when the cell moves
@@ -89,17 +85,11 @@ class SignatureChaseCore(ChaseState):
         for k, cols in enumerate(self._lhs_cols):
             for col in set(cols):
                 self._lhs_fds_by_col[col].append(k)
-        #: occurrence index: class root -> cells [(row, col)] in that class
+        #: occurrence index: class root -> cells [(row, col)] in that class;
+        #: each node's union-find weight tracks its occurrence count
+        #: (point 3), so merges keep the occurrence-heavy class as root and
+        #: move the short list
         self._occ: Dict[int, List[Tuple[int, int]]] = {}
-        for row, encoded in enumerate(self.cells):
-            for col, node in enumerate(encoded):
-                # fresh states have node == root; interned constants repeat
-                self._occ.setdefault(node, []).append((row, col))
-        # occurrence-weighted union (point 3): a node weighs as many cells
-        # as it stands for, so merges keep the occurrence-heavy class as
-        # root and move the short list
-        for node, cells in self._occ.items():
-            self.uf.set_weight(node, len(cells))
         #: current signature per (fd index, row)
         self._sigs: Dict[Tuple[int, int], Signature] = {}
         #: (fd index, signature) -> anchor row
@@ -135,8 +125,7 @@ class SignatureChaseCore(ChaseState):
         else:
             existed = True
         target.extend(moved)
-        if self._trail is not None:
-            self._trail.append(("occmv", survivor, absorbed, len(moved), existed))
+        self._trail.append(("occmv", survivor, absorbed, len(moved), existed))
         work = self._work
         by_col = self._lhs_fds_by_col
         for row, col in moved:
@@ -167,65 +156,27 @@ class SignatureChaseCore(ChaseState):
                 # hold a cell of the absorbed class themselves, so they are
                 # on the worklist too — dropping the slot cannot orphan them
                 del self._anchors[(k, old)]
-                if trail is not None:
-                    trail.append(("ancdel", (k, old), row))
+                trail.append(("ancdel", (k, old), row))
             stale = members[(k, old)]
             del stale[row]
             if not stale:
                 del members[(k, old)]
-            if trail is not None:
-                trail.append(("memdel", (k, old), row))
+            trail.append(("memdel", (k, old), row))
         self._sigs[key] = sig
-        if trail is not None:
-            trail.append(("sig", key, old))
+        trail.append(("sig", key, old))
         bucket = members.get((k, sig))
         if bucket is None:
             members[(k, sig)] = {row: None}
         else:
             bucket[row] = None
-        if trail is not None:
-            trail.append(("memapp", (k, sig), row))
+        trail.append(("memapp", (k, sig), row))
         anchor = self._anchors.get((k, sig))
         if anchor is None:
             # a row anchored under `sig` would have matched the early
             # return above, so a present anchor is always a *different* row
             self._anchors[(k, sig)] = row
-            if trail is not None:
-                trail.append(("ancnew", (k, sig)))
+            trail.append(("ancnew", (k, sig)))
         elif anchor != row:
-            self._fire(k, anchor, row)
-
-    def _fire(self, k: int, anchor: int, row: int) -> None:
-        """Two rows agree on FD ``k``'s left-hand side: act on it.
-
-        The engine-specific half of the fixpoint — NS-rule application for
-        the indexed engine, result-merge enqueueing for the congruence
-        engine.  Any class merges it causes re-enter :attr:`_work` through
-        :meth:`_on_union`.
-        """
-        raise NotImplementedError
-
-    # -- fixpoint -------------------------------------------------------------
-
-    def run_worklist(self) -> None:
-        """Drive the NS-rules to fixpoint from the worklist.
-
-        Seeds the worklist with every ``(fd, row)`` pair, then drains:
-        signing can fire rules, rule firings merge classes, merges dirty
-        exactly the affected rows back onto the worklist.  Terminates
-        because every merge strictly reduces the number of classes and
-        dirty entries only arise from merges.
-        """
-        self.passes += 1  # the seeding sweep: every term signed once
-        work = self._work
-        for k in range(len(self.fds)):
-            for row in range(len(self.cells)):
-                work.append((k, row))
-        sign = self._sign
-        while work:
-            k, row = work.popleft()
-            sign(k, row)
-        from ..analysis import sanitize  # local: keeps the core import-light
-
-        if sanitize.enabled():
-            sanitize.audit_core(self)
+            # a signature collision is an NS-rule application site; any
+            # merge it causes re-enters the worklist through _on_union
+            self._apply_pair(self.fds[k], anchor, row)

@@ -53,8 +53,6 @@ STRATEGY_RANDOM = "random"
 
 ENGINE_AUTO = "auto"
 ENGINE_SWEEP = "sweep"
-ENGINE_INDEXED = "indexed"
-ENGINE_CONGRUENCE = "congruence"
 ENGINE_VECTOR = "vector"
 
 _STRATEGIES = (STRATEGY_FD_ORDER, STRATEGY_ROUND_ROBIN, STRATEGY_RANDOM)
@@ -140,9 +138,10 @@ class ChaseState:
         self._nothing_node: Optional[int] = None
         self._seen = 0  # union-find merges already counted by fd_order sweeps
         #: mutation journal for backtrackable states (None for the batch
-        #: engines — every journaling site is gated on it, so they pay one
-        #: predictable branch and nothing else).  ChaseSession installs a
-        #: list here and shares it with ``self.uf.trail``.
+        #: engines — every journaling site in this class is gated on it, so
+        #: they pay one predictable branch and nothing else).  ChaseSession
+        #: installs a list here and shares it with ``self.uf.trail``; its
+        #: worklist core (:mod:`repro.chase.core`) journals unconditionally.
         self._trail: Optional[List[tuple]] = None
         #: per-FD column projections, computed once — no ``schema.position``
         #: lookup ever happens in an inner loop.  Keyed by ``id(fd)`` (the
@@ -313,8 +312,8 @@ class ChaseState:
         Equality is "same class" — equal constants (interned to one node),
         NEC-related nulls, or *nothing* cells (all nothings are one class;
         matching through the inconsistent element is what the
-        congruence-closure construction behind Theorem 4 does, so the
-        fixpoint engine does the same and the two engines agree exactly).
+        congruence-closure construction behind Theorem 4 does, so every
+        engine does the same and they agree exactly).
         """
         cells_row = self.cells[row]
         find = self.uf.find
@@ -398,7 +397,7 @@ class ChaseState:
         its earliest-created member (creation order is fixed by the input
         encoding), not whichever member happened to win the tag during
         unions.  That makes results from different engines — sweep,
-        indexed worklist, congruence closure — compare identical whenever
+        vector, the session's worklist core — compare identical whenever
         their partitions agree, which Theorem 4 guarantees in extended
         mode.
         """
@@ -464,54 +463,39 @@ def chase(
 
     ``engine`` selects the execution path:
 
-    * ``"auto"`` (default) — the worklist-driven indexed engine
-      (:mod:`repro.chase.indexed`) in extended mode, where Theorem 4 makes
-      the firing order unobservable; the multi-pass sweep engine in basic
-      mode, where the order *is* the observable (Figure 5) and the
+    * ``"auto"`` (default) — the vector engine in extended mode, where
+      Theorem 4 makes the firing order unobservable; the sweep engine in
+      basic mode, where the order *is* the observable (Figure 5) and the
       strategy must be honored literally.
-    * ``"indexed"`` — force the indexed engine (extended mode only).
-    * ``"congruence"`` — the congruence-closure engine on the same shared
-      core (extended mode only); an independently derived oracle for the
-      differential tests.
     * ``"vector"`` — the maintained-root-array engine
       (:mod:`repro.chase.vector`; extended mode only).
-    * ``"sweep"`` — force the legacy multi-pass engine (both modes).
+    * ``"sweep"`` — the strategy-parametric multi-pass engine (both
+      modes): Figure 5's chase as written, and the reference the
+      differential suites hold every faster path to.
 
     The sharded chase (:func:`repro.chase.sharded.sharded_chase`) is a
     separate entry point: FD components chase independently, one vector
     engine each, and stitch back field-identically.
 
-    All paths produce identical ``relation`` / ``nec_classes`` /
+    Both engines produce identical ``relation`` / ``nec_classes`` /
     ``substitutions`` in extended mode; ``applications`` order and the
     ``passes`` count are engine-specific diagnostics.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if engine == ENGINE_AUTO:
-        engine = ENGINE_INDEXED if mode == MODE_EXTENDED else ENGINE_SWEEP
-    if engine in (ENGINE_INDEXED, ENGINE_CONGRUENCE, ENGINE_VECTOR):
+        engine = ENGINE_VECTOR if mode == MODE_EXTENDED else ENGINE_SWEEP
+    if engine == ENGINE_VECTOR:
         if mode != MODE_EXTENDED:
             raise ValueError(
-                f"the {engine} engine implements the extended (Church-"
-                "Rosser) rules only; use engine='sweep' for basic mode"
+                "the vector engine implements the extended (Church-Rosser) "
+                "rules only; use engine='sweep' for basic mode"
             )
-        if engine == ENGINE_CONGRUENCE:
-            from .congruence import CongruenceEngine  # local: avoids cycle
+        from .vector import VectorChaseState  # local: avoids import cycle
 
-            congruence_state = CongruenceEngine(relation, fds)
-            congruence_state.run_congruence()
-            return congruence_state.result(strategy)
-        if engine == ENGINE_VECTOR:
-            from .vector import VectorChaseState  # local: avoids cycle
-
-            vector_state = VectorChaseState(relation, fds)
-            vector_state.run_vectorized()
-            return vector_state.result(strategy)
-        from .indexed import IndexedChaseState  # local: avoids import cycle
-
-        indexed_state = IndexedChaseState(relation, fds)
-        indexed_state.run_worklist()
-        return indexed_state.result(strategy)
+        vector_state = VectorChaseState(relation, fds)
+        vector_state.run_vectorized()
+        return vector_state.result(strategy)
     if engine != ENGINE_SWEEP:
         raise ValueError(f"unknown chase engine {engine!r}")
     state = ChaseState(relation, fds, mode)

@@ -2,16 +2,16 @@
 
 An instance is *minimally incomplete* w.r.t. an FD set when no NS-rule is
 applicable: "nothing more can be said about the nulls in this state".  The
-high-level entry points here wrap the two engines:
+high-level entry points here wrap :func:`~repro.chase.engine.chase`:
 
 * :func:`minimally_incomplete` — chase to a fixpoint (basic or extended
-  rules, fixpoint or congruence engine);
+  rules);
 * :func:`is_minimally_incomplete` — applicability check without chasing;
 * :func:`weakly_satisfiable` — Theorem 4(b): an FD set is weakly satisfied
   in ``r`` iff the extended chase produces no *nothing* value;
 * :func:`canonical_form` — a strategy-independent fingerprint of a chase
   result, used to verify the Church-Rosser property (Theorem 4(a)) and the
-  equivalence of the two engines.
+  equivalence of the engines.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Any, Iterable, List, Tuple
 from ..core.fd import FDInput
 from ..core.relation import Relation
 from ..core.values import NOTHING, is_constant, is_null
-from .congruence import congruence_chase
 from .engine import (
     MODE_BASIC,
     MODE_EXTENDED,
@@ -39,30 +38,15 @@ def minimally_incomplete(
     fds: Iterable[FDInput],
     mode: str = MODE_EXTENDED,
     strategy: str = STRATEGY_ROUND_ROBIN,
-    engine: str = "fixpoint",
     seed: int = 0,
 ) -> ChaseResult:
     """Chase ``relation`` with the NS-rules for ``fds`` to a fixpoint.
 
-    ``engine="fixpoint"`` runs the multi-pass sweep engine of
-    :mod:`repro.chase.engine` (supports both modes and all strategies);
-    ``engine="indexed"`` runs the worklist-driven indexed engine of
-    :mod:`repro.chase.indexed`; ``engine="congruence"`` runs the
-    congruence-closure engine.  The latter two are near-linear and
-    extended mode only — that is the mode Theorem 4 is about.
+    A plain forward to :func:`~repro.chase.engine.chase`: the vector
+    engine in extended mode (the unique fixpoint of Theorem 4), the
+    strategy-parametric sweep engine in basic mode.
     """
-    if engine in ("congruence", "indexed"):
-        if mode != MODE_EXTENDED:
-            raise ValueError(
-                f"the {engine} engine implements the extended (Church-"
-                "Rosser) rules only; use engine='fixpoint' for basic mode"
-            )
-        if engine == "congruence":
-            return congruence_chase(relation, list(fds))
-        return chase(relation, fds, mode=mode, strategy=strategy, engine="indexed")
-    if engine != "fixpoint":
-        raise ValueError(f"unknown chase engine {engine!r}")
-    return chase(relation, fds, mode=mode, strategy=strategy, seed=seed, engine="sweep")
+    return chase(relation, fds, mode=mode, strategy=strategy, seed=seed)
 
 
 def is_minimally_incomplete(
@@ -100,15 +84,10 @@ def is_minimally_incomplete(
     return True
 
 
-def weakly_satisfiable(
-    relation: Relation, fds: Iterable[FDInput], engine: str = "congruence"
-) -> bool:
+def weakly_satisfiable(relation: Relation, fds: Iterable[FDInput]) -> bool:
     """Theorem 4(b): ``F`` is weakly satisfied in ``r`` iff the extended
     chase fixpoint contains no *nothing* value."""
-    result = minimally_incomplete(
-        relation, fds, mode=MODE_EXTENDED, engine=engine
-    )
-    return not result.has_nothing
+    return not chase(relation, fds, mode=MODE_EXTENDED).has_nothing
 
 
 def canonical_form(relation: Relation) -> Tuple[Tuple[Any, ...], ...]:
@@ -149,7 +128,7 @@ def church_rosser_orders(
     canonical forms must coincide; in basic mode they may differ (Figure 5).
 
     Every run forces the sweep engine: the point of this function is to
-    *vary the application order*, and the worklist engine that now backs
+    *vary the application order*, and the vector engine that backs
     ``chase(mode="extended")`` by default ignores strategy and seed — it
     would turn the comparison into eleven runs of one execution.
     """

@@ -10,7 +10,7 @@ maintained Theorem-4 fixpoint, and keeps the two in lock-step across the
 full update vocabulary.
 
 * :meth:`insert` — sign the new row's ``(fd, row)`` terms and drain the
-  shared core's worklist; amortized near-linear over a stream, exactly the
+  core's worklist; amortized near-linear over a stream, exactly the
   congruence-closure incrementality the paper's Downey-Sethi-Tarjan
   footnote licenses.
 * :meth:`delete` / :meth:`update` / :meth:`replace` — recent victims use
@@ -61,7 +61,8 @@ full update vocabulary.
 The invariant pinned by ``tests/chase/test_session.py`` after **every**
 operation: ``session.result()`` is field-identical (rows, NEC classes,
 substitutions, ``has_nothing``) to ``chase(Relation(schema, session.rows),
-fds)`` from scratch.
+fds)`` from scratch — the vector engine, which shares none of the
+session's worklist core.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ class ChaseSession(SignatureChaseCore):
         #: restoration — goes through the private ``_insert``/``_replace``
         #: entry points and never emits.
         self.on_op: Optional[Any] = None
-        super().__init__(Relation(schema, ()), fds)
+        super().__init__(schema, fds)
         self._install()
         for row in initial:
             self.insert(row)
@@ -269,12 +270,7 @@ class ChaseSession(SignatureChaseCore):
         #: (an explicit rollback may cross it — reverting is its job).
         self._ratchet_mark = 0
 
-    # -- firing discipline -------------------------------------------------
-
-    def _fire(self, k: int, anchor: int, row: int) -> None:
-        """A signature collision applies the NS-rule directly (the indexed
-        engine's discipline; Theorem 4 makes the order unobservable)."""
-        self._apply_pair(self.fds[k], anchor, row)
+    # -- worklist ------------------------------------------------------------
 
     def _drain(self) -> None:
         """Run the dirtied terms to fixpoint (one op = one 'pass')."""
@@ -913,7 +909,7 @@ class ChaseSession(SignatureChaseCore):
         self._stats["level_rebuild"] += 1
         generation = self._gen
         fds = self.fds
-        SignatureChaseCore.__init__(self, Relation(self.schema, ()), fds)
+        SignatureChaseCore.__init__(self, self.schema, fds)
         self._install()
         self._gen = generation + 1
         for row in rows:

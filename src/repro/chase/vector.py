@@ -1,10 +1,11 @@
-"""Vectorized signature recomputation for the dense single-component case.
+"""The batch extended-mode chase: maintained per-column root arrays.
 
-When every FD touches every other FD's attributes, the shard planner
-degenerates to one component and sharding buys nothing.  This engine is
-the second attack route: instead of the worklist's per-``(fd, row)``
-signature dict (:class:`~repro.chase.core.SignatureChaseCore`), it keeps a
-**flat integer array of class roots per column** (stdlib ``array('q')``).
+This is the engine behind ``chase(mode="extended")`` and behind every
+shard of :func:`~repro.chase.sharded.sharded_chase`.  Instead of the
+session's per-``(fd, row)`` signature dict
+(:class:`~repro.chase.core.SignatureChaseCore`), which a batch run would
+build only to throw away, it keeps a **flat integer array of class roots
+per column** (stdlib ``array('q')``).
 The union-find ``on_union`` hook rewrites the moved cells' slots in place,
 so after any burst of merges, regrouping an FD is one linear pass over its
 column slices — no ``find`` calls, no per-row dict updates — rebucketing
@@ -19,8 +20,11 @@ stable throughout the pass, i.e. a true fixpoint check.  Termination: a
 regroup either fires a class-reducing merge or retires its FD from the
 dirty set, and only merges re-add entries.
 
-The result is field-identical to the other extended-mode engines (Theorem
-4); the differential suite in ``tests/chase/test_sharded.py`` pins it.
+The result is field-identical to the sweep engine and the session
+(Theorem 4); ``tests/chase/test_indexed.py`` pins it against sweep on
+randomized instances.  Under ``REPRO_SANITIZE=1`` every fixpoint is
+audited (:func:`repro.analysis.sanitize.audit_core`), root arrays
+included.
 """
 
 from __future__ import annotations
@@ -94,6 +98,10 @@ class VectorChaseState(ChaseState):
             k = dirty.pop()
             self.passes += 1
             self._regroup(k)
+        from ..analysis import sanitize  # local: keeps the engine import-light
+
+        if sanitize.enabled():
+            sanitize.audit_core(self)
 
     def _regroup(self, k: int) -> None:
         """One linear pass over FD ``k``'s lhs column slices: bucket rows
@@ -118,7 +126,7 @@ class VectorChaseState(ChaseState):
 
 def vectorized_chase(relation: Relation, fds: Iterable[FDInput]) -> ChaseResult:
     """The unique minimally incomplete instance via maintained root arrays —
-    field-identical to :func:`repro.chase.indexed.indexed_chase`."""
+    what ``chase(relation, fds)`` runs in extended mode."""
     state = VectorChaseState(relation, fds)
     state.run_vectorized()
     return state.result(STRATEGY_VECTOR)

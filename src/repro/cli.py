@@ -3,9 +3,9 @@
 Usage (also via ``python -m repro``)::
 
     repro check  --data t.csv --fds "zip -> city state" [--convention weak]
-                 [--method auto|sortmerge|pairwise|bucket|batched]
+                 [--method auto|sortmerge|pairwise|batched]
     repro chase  --data t.csv --fds "zip -> city state" [--mode extended]
-                 [--engine auto|sweep|indexed|congruence|vector]
+                 [--engine auto|sweep|vector]
     repro session --data t.csv --fds "zip -> city state" --script ops.txt
     repro db init PATH --name R --attrs "A B C" --fds "A -> B"
     repro db ingest PATH --name R [--data t.csv] [--script ops.txt]
@@ -68,8 +68,6 @@ from typing import Dict, List, Optional, Sequence
 from .armstrong import attribute_closure, candidate_keys, minimal_cover
 from .chase import (
     ENGINE_AUTO,
-    ENGINE_CONGRUENCE,
-    ENGINE_INDEXED,
     ENGINE_SWEEP,
     ENGINE_VECTOR,
     MODE_BASIC,
@@ -88,7 +86,7 @@ from .errors import ReproError, ScriptError
 from .explain import explain_chase, explain_outcome
 from .normalization import bcnf_decompose, synthesize_3nf
 from .opschema import NULL_TOKENS, SCRIPT_OPS
-from .testfd import CONVENTION_STRONG, CONVENTION_WEAK, check_fds
+from .testfd import CONVENTION_STRONG, CONVENTION_WEAK, TESTFD_METHODS, check_fds
 
 
 def load_relation(
@@ -660,9 +658,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--method",
-        choices=["auto", "sortmerge", "pairwise", "bucket", "batched"],
+        choices=TESTFD_METHODS,
         default="auto",
-        help="TEST-FDs variant (auto routes by convention and shared LHSs)",
+        help="TEST-FDs variant (auto runs batched, falling back to pairwise "
+        "where the strong convention cannot group nulls)",
     )
     check.add_argument("--domain", action="append", metavar="ATTR=v1,v2")
     check.set_defaults(func=_cmd_check)
@@ -675,15 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chase_cmd.add_argument(
         "--engine",
-        choices=[
-            ENGINE_AUTO,
-            ENGINE_SWEEP,
-            ENGINE_INDEXED,
-            ENGINE_CONGRUENCE,
-            ENGINE_VECTOR,
-        ],
+        choices=[ENGINE_AUTO, ENGINE_SWEEP, ENGINE_VECTOR],
         default=ENGINE_AUTO,
-        help="chase engine (indexed/congruence/vector are extended-mode only)",
+        help="chase engine (auto: vector in extended mode, sweep in basic; "
+        "vector is extended-mode only)",
     )
     chase_cmd.add_argument("--domain", action="append", metavar="ATTR=v1,v2")
     chase_cmd.set_defaults(func=_cmd_chase)
@@ -843,11 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[CONVENTION_WEAK, CONVENTION_STRONG],
         default=CONVENTION_WEAK,
     )
-    db_check.add_argument(
-        "--method",
-        choices=["auto", "sortmerge", "pairwise", "bucket", "batched"],
-        default="auto",
-    )
+    db_check.add_argument("--method", choices=TESTFD_METHODS, default="auto")
     db_check.set_defaults(func=_cmd_db_check)
 
     db_checkpoint = _db_parser(

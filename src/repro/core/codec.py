@@ -35,7 +35,7 @@ from ..errors import CodecError
 from .domain import Domain
 from .fd import FD, FDInput, as_fd
 from .schema import RelationSchema
-from .values import NOTHING, Null, is_null
+from .values import NOTHING, Null, is_null, null
 
 #: JSON-scalar constant types the codec passes through untagged.  ``bool``
 #: is a subclass of ``int`` but listed for clarity; ``None`` is handled by
@@ -122,10 +122,17 @@ class ValueCodec:
 
     def object_of(self, canonical: str) -> Null:
         """The null object behind a canonical id (creating it if unseen —
-        see the class docstring on lenient decoding)."""
+        see the class docstring on lenient decoding).
+
+        The object is minted by :func:`~repro.core.values.null`, so its
+        label is process-unique: canonical ids are scoped per codec, and
+        two relations' ``n0`` must not share a label wherever answers key
+        nulls by label (query provenance, the served query encoding).
+        Encoding goes through ``_ids`` by identity, so the wire token is
+        still the canonical id."""
         null_obj = self._objects.get(canonical)
         if null_obj is None:
-            null_obj = Null(canonical)
+            null_obj = null()
             self._objects[canonical] = null_obj
             self._ids[id(null_obj)] = canonical
             # decoded ids reserve their number: fresh nulls encoded after

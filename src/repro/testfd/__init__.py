@@ -12,6 +12,17 @@ instances.  ``convention="weak"`` decides *weak* satisfiability **provided
 the instance is minimally incomplete** (Theorem 3's precondition);
 ``ensure_minimal=True`` chases with the basic NS-rules first,
 ``verify_minimal=True`` instead raises when the precondition fails.
+
+The variants, next to the paper's algorithms:
+
+* :func:`check_fds_sortmerge` — Figure 3 as written, ``O(|F|·n log n)``;
+* :func:`check_fds_pairwise` — the footnote's ``O(|F|·n²)`` variant, and
+  the general procedure under the strong convention (nulls on a
+  left-hand side cannot be grouped or sorted);
+* :func:`check_single_fd_presorted` — the linear special case (one FD,
+  input already sorted);
+* :func:`check_fds_batched` — the production path: the "Additional
+  Assumptions" hash grouping, one grouping per distinct left-hand side.
 """
 
 from __future__ import annotations
@@ -20,10 +31,9 @@ from typing import Any, Iterable, Mapping, Optional
 
 from ..core.fd import FDInput
 from ..core.relation import Relation
-from ..core.values import Null, is_null
+from ..core.values import Null
 from ..errors import ConventionError, NotMinimallyIncompleteError
 from .batched import check_fds_batched
-from .bucket import check_fds_bucket, check_single_fd_presorted
 from .conventions import (
     CONVENTION_STRONG,
     CONVENTION_WEAK,
@@ -32,17 +42,20 @@ from .conventions import (
     y_unequal,
 )
 from .pairwise import CheckAnswer, TestFDsOutcome, Witness, check_fds_pairwise
-from .sortmerge import check_fds_sortmerge
+from .sortmerge import check_fds_sortmerge, check_single_fd_presorted
+
+#: the ``method=`` vocabulary of :func:`check_fds`
+TESTFD_METHODS = ("auto", "sortmerge", "pairwise", "batched")
 
 __all__ = [
     "CONVENTION_STRONG",
     "CONVENTION_WEAK",
     "CheckAnswer",
+    "TESTFD_METHODS",
     "TestFDsOutcome",
     "Witness",
     "check_fds",
     "check_fds_batched",
-    "check_fds_bucket",
     "check_fds_pairwise",
     "check_fds_sortmerge",
     "check_single_fd_presorted",
@@ -64,19 +77,15 @@ def check_fds(
     """Run TEST-FDs with the requested convention and method.
 
     ``method``: ``"sortmerge"`` (Figure 3), ``"pairwise"`` (the footnote's
-    O(n²) variant), ``"bucket"`` (the bucket-sort variant), ``"batched"``
-    (bucket batched over shared left-hand sides: one grouping per distinct
-    X decides every ``X -> Y_i``), or ``"auto"``.
+    O(n²) variant), ``"batched"`` (hash grouping, one grouping per distinct
+    X deciding every ``X -> Y_i``), or ``"auto"``.
 
-    ``"auto"`` is batching-aware: when at least two FDs share a left-hand
-    side (as a column set) and grouping is convention-safe — always under
-    the weak convention; under the strong convention only when every
-    non-trivial LHS is null-free in the instance — it routes to
-    ``batched``, amortizing the X-key work across the group.  Otherwise it
-    runs sort-merge, falling back to pairwise for the strong convention on
-    instances with left-hand-side nulls.  Every route preserves the
-    documented witness contract: a *no* answer carries an honest violating
-    pair under the convention's comparisons (the variants may differ in
+    ``"auto"`` runs ``batched`` and falls back to ``pairwise`` when the
+    grouping is not convention-safe — the strong convention with nulls on
+    a left-hand side, where ``batched`` raises
+    :class:`~repro.errors.ConventionError`.  Every route keeps the
+    witness contract: a *no* answer carries an honest violating pair
+    under the convention's comparisons (the variants may differ in
     *which* honest pair they report; callers that need a specific
     variant's witness should name the method).
 
@@ -100,55 +109,15 @@ def check_fds(
                 "ensure_minimal=True to chase first"
             )
 
+    if method == "auto":
+        try:
+            return check_fds_batched(relation, fd_list, convention, null_classes)
+        except ConventionError:
+            return check_fds_pairwise(relation, fd_list, convention, null_classes)
     if method == "sortmerge":
         return check_fds_sortmerge(relation, fd_list, convention, null_classes)
     if method == "pairwise":
         return check_fds_pairwise(relation, fd_list, convention, null_classes)
-    if method == "bucket":
-        return check_fds_bucket(relation, fd_list, convention, null_classes)
     if method == "batched":
         return check_fds_batched(relation, fd_list, convention, null_classes)
-    if method != "auto":
-        raise ValueError(f"unknown TEST-FDs method {method!r}")
-
-    if _batching_pays(relation, fd_list, convention):
-        return check_fds_batched(relation, fd_list, convention, null_classes)
-    try:
-        return check_fds_sortmerge(relation, fd_list, convention, null_classes)
-    except ConventionError:
-        return check_fds_pairwise(relation, fd_list, convention, null_classes)
-
-
-def _batching_pays(
-    relation: Relation, fds: Iterable[FDInput], convention: str
-) -> bool:
-    """Should ``auto`` route to the shared-LHS batched variant?
-
-    True when some left-hand side (as a column set) recurs — that is when
-    batching actually amortizes anything — and the batched grouping is
-    convention-safe: under the strong convention nulls cannot be grouped,
-    so every non-trivial LHS column must be null-free in the instance
-    (matching the :class:`~repro.errors.ConventionError` contract of the
-    grouping variants rather than racing it).
-    """
-    from ..core.fd import as_fd as _as_fd
-
-    groups: set = set()
-    seen_shared = False
-    lhs_columns: set = set()
-    for fd in fds:
-        fd = _as_fd(fd).normalized()
-        if fd.is_trivial():
-            continue
-        cols = frozenset(relation.schema.position(a) for a in fd.lhs)
-        if cols in groups:
-            seen_shared = True
-        groups.add(cols)
-        lhs_columns |= cols
-    if not seen_shared:
-        return False
-    if convention == CONVENTION_STRONG and any(
-        is_null(row.values[c]) for row in relation.rows for c in lhs_columns
-    ):
-        return False
-    return True
+    raise ValueError(f"unknown TEST-FDs method {method!r}")

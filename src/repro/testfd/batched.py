@@ -1,35 +1,41 @@
-"""Shared-LHS batched TEST-FDs: one grouping per distinct left-hand side.
+"""Batched TEST-FDs: hash grouping, one grouping per distinct left-hand side.
 
-The per-FD variants re-derive the same row grouping once per dependency:
-``check_fds_bucket`` recomputes every row's X-key and rebuilds the hash
-table for each FD, even when the FD set is ``A -> B, A -> C, A -> D`` and
-the three keys are identical.  Real FD sets are full of shared left-hand
-sides — a key determines many attributes, and canonical covers list one
-FD per determined attribute — so the X-key work (the dominant per-row
-cost: a tuple build plus a class lookup per LHS column) multiplies by the
-number of dependencies for no reason.
+Figure 3's "Additional Assumptions" note that bucket sort brings the sort
+down to ``O(n·p)``; on equality keys the natural realization of bucket sort
+is dictionary grouping on X-keys.  Done per FD, that grouping re-derives
+the same row buckets once per dependency, even when the FD set is
+``A -> B, A -> C, A -> D`` and the three keys are identical.  Real FD sets
+are full of shared left-hand sides — a key determines many attributes, and
+canonical covers list one FD per determined attribute — so the X-key work
+(the dominant per-row cost: a tuple build plus a class lookup per LHS
+column) would multiply by the number of dependencies for no reason.
 
 :func:`check_fds_batched` groups the FD set by left-hand side *as a column
 set*, buckets each distinct X once, and decides every ``X -> Y_i`` of the
 group from that single grouping: per bucket it keeps one anchor per
 Y-column of the *union* of the group's right-hand sides, and a single row
 scan records, for each member FD, the first violation it would have found.
-Cost is one key computation per row per **distinct** LHS instead of per
-FD, with the same ``O(n · p)`` bucket bound otherwise.
+Cost is one key computation per row per **distinct** LHS, with the same
+``O(n · p)`` bound otherwise.  Key-equality coincides with the weak
+convention's equality comparison; under the strong convention it does only
+on null-free left-hand sides (as with sort-merge), so a null-bearing LHS
+raises :class:`~repro.errors.ConventionError` and
+``check_fds(method="auto")`` falls back to the pairwise variant.
 
-The contract is exact equivalence with :func:`~repro.testfd.bucket.
-check_fds_bucket` — outcome *and* witness *and* the strong-convention
-rejection behavior — which takes some care, because bucket's observable
+The contract is exact equivalence with **per-FD grouping** — calling
+:func:`check_fds_batched` once per FD in input order and returning the
+first witness — in outcome, witness and strong-convention rejection
+behavior.  That takes some care, because per-FD grouping's observable
 behavior depends on its FD-major iteration order:
 
-* bucket returns the witness of the **first FD in input order** that has a
+* it returns the witness of the **first FD in input order** that has a
   violation (it never looks at later FDs once one fails); the batched scan
   therefore records per-FD witnesses and answers from the input order, not
   from whichever violation sits at the smallest row index.
-* per FD, bucket's witness is the first ``(row, rhs-attr)`` conflict in
+* per FD, its witness is the first ``(row, rhs-attr)`` conflict in
   row-major, rhs-order scan; the batched scan preserves exactly that by
   checking each still-unviolated member's rhs columns in order per row.
-* under the strong convention bucket raises :class:`ConventionError` for a
+* under the strong convention it raises :class:`ConventionError` for a
   null-bearing LHS **when it reaches that FD** — after earlier FDs were
   checked (and possibly returned a witness).  Batching scans groups
   lazily, at the input position of each group's first member, so the
@@ -38,8 +44,8 @@ behavior depends on its FD-major iteration order:
 Anchor evolution depends only on the bucket and the Y-column (never on
 which FD asked), so sharing anchors across a group's members is lossless;
 the differential suite (``tests/testfd/test_batched_property.py``) pins
-witness-identity against bucket and outcome-identity against pairwise and
-sort-merge on randomized instances under both conventions.
+witness-identity against per-FD grouping and outcome-identity against
+pairwise and sort-merge on randomized instances under both conventions.
 """
 
 from __future__ import annotations
@@ -69,11 +75,12 @@ def _group_scan(
     """One bucket pass deciding every member FD of one LHS group.
 
     ``members`` are ``(input position, fd, ((rhs attr, col), ...))`` in
-    input order; returns the bucket-identical first witness per violated
+    input order; returns the per-FD grouping's first witness per violated
     input position.  The scan stops once the group's *first* member is
     violated: the caller walks FDs in input order, so it returns that
     witness before any later member of this group could be consulted —
-    matching bucket's early return without losing a verdict anyone reads.
+    matching per-FD grouping's early return without losing a verdict
+    anyone reads.
     """
     union_cols: List[int] = []
     for _, _, rhs_cols in members:
@@ -87,7 +94,7 @@ def _group_scan(
     single = len(lhs_cols) == 1
     lhs_col = lhs_cols[0] if single else -1
     # bucket -> per-Y-column (anchor value, anchor row); same constant-
-    # preferring anchor refinement as bucket/sort-merge.  The inequality
+    # preferring anchor refinement as sort-merge.  The inequality
     # comparison is ``y_unequal`` inlined: ``ensure_no_nothing`` already
     # vetted every cell, so only the null/constant case analysis remains.
     buckets: Dict[Any, Dict[int, Tuple[Any, int]]] = {}
@@ -149,11 +156,11 @@ def check_fds_batched(
     convention: str = CONVENTION_WEAK,
     null_classes: Optional[Mapping[Null, Any]] = None,
 ) -> TestFDsOutcome:
-    """TEST-FDs batched over shared left-hand sides.
+    """TEST-FDs by hash grouping, batched over shared left-hand sides.
 
-    Equivalent to :func:`~repro.testfd.bucket.check_fds_bucket` — same
-    outcome, same witness, same strong-convention rejections — at one
-    bucket grouping per *distinct* LHS instead of per FD.
+    Equivalent to calling it once per FD in input order — same outcome,
+    same witness, same strong-convention rejections — at one grouping per
+    *distinct* LHS instead of per FD.
     """
     ensure_no_nothing(relation)
     class_of = class_function(null_classes)
@@ -161,7 +168,7 @@ def check_fds_batched(
     fd_list = [as_fd(f).normalized() for f in fds]
 
     # input position -> (group key, fd, rhs columns); trivial FDs never
-    # fire in bucket either, so they join no group
+    # fire, so they join no group
     plan: List[Tuple[frozenset, FD, Tuple[Tuple[str, int], ...]]] = []
     group_lhs: Dict[frozenset, Tuple[int, ...]] = {}
     for fd in fd_list:

@@ -32,6 +32,12 @@ of the run once one appears, the first tuple's value until then.  Under
 the strong convention not-unequal *is* an equivalence relation (equal
 constants / same-class nulls), so the literal first-tuple anchor is
 already complete and is used as-is.
+
+:func:`check_single_fd_presorted` is Figure 3's linear special case ("if
+there is only one dependency (e.g. BCNF with one key), and the relation is
+already sorted, the test requires linear time on the relation size"): the
+merge scan without the sort.  It *verifies* sortedness (also linear) rather
+than trusting the caller.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Any, Iterable, List, Mapping, Optional, Tuple
 from ..core.fd import FDInput, as_fd
 from ..core.relation import Relation
 from ..core.values import Null, constant_key, is_nothing, is_null
-from ..errors import ConventionError, InconsistentInstanceError
+from ..errors import ConventionError, InconsistentInstanceError, ReproError
 from .conventions import (
     CONVENTION_STRONG,
     CONVENTION_WEAK,
@@ -151,4 +157,69 @@ def check_fds_sortmerge(
                         )
                 nxt += 1
             position = nxt
+    return TestFDsOutcome(True, None)
+
+
+def check_single_fd_presorted(
+    relation: Relation,
+    fd: FDInput,
+    convention: str = CONVENTION_WEAK,
+    null_classes: Optional[Mapping[Null, Any]] = None,
+) -> TestFDsOutcome:
+    """The linear special case: one FD, relation already sorted on its LHS.
+
+    Verifies the sort order (raises :class:`repro.errors.ReproError` when
+    the input is not sorted — silently wrong answers are worse than an
+    O(n) check), then decides with one adjacent-run scan.
+    """
+    fd = as_fd(fd).normalized()
+    ensure_no_nothing(relation)
+    class_of = class_function(null_classes)
+    if fd.is_trivial():
+        return TestFDsOutcome(True, None)
+    lhs_cols = [relation.schema.position(a) for a in fd.lhs]
+    rhs_cols = [(a, relation.schema.position(a)) for a in fd.rhs]
+    if convention == CONVENTION_STRONG and any(
+        is_null(row.values[c]) for row in relation.rows for c in lhs_cols
+    ):
+        raise ConventionError(
+            "the presorted test cannot order nulls under the strong "
+            "convention; use check_fds_pairwise"
+        )
+
+    class_ordinals: dict = {}
+    keys = [
+        tuple(_sort_key(row.values[c], class_of, class_ordinals) for c in lhs_cols)
+        for row in relation.rows
+    ]
+    for previous, current in zip(keys, keys[1:]):
+        if current < previous:
+            raise ReproError(
+                "check_single_fd_presorted requires the relation to be "
+                "sorted on the FD's left-hand side"
+            )
+
+    run_start = 0
+    anchors = {
+        c: (relation.rows[0].values[c], 0) for _, c in rhs_cols
+    } if relation.rows else {}
+    for index in range(1, len(relation.rows)):
+        row_values = relation.rows[index].values
+        if keys[index] != keys[run_start]:
+            run_start = index
+            anchors = {c: (row_values[c], index) for _, c in rhs_cols}
+            continue
+        for attr, c in rhs_cols:
+            anchor_value, anchor_index = anchors[c]
+            if (
+                convention == CONVENTION_WEAK
+                and is_null(anchor_value)
+                and not is_null(row_values[c])
+            ):
+                anchors[c] = (row_values[c], index)
+                continue
+            if y_unequal(convention, anchor_value, row_values[c], class_of):
+                return TestFDsOutcome(
+                    False, Witness(fd, anchor_index, index, attr)
+                )
     return TestFDsOutcome(True, None)

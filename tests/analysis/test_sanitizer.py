@@ -9,8 +9,12 @@ invariant broke, not just "something is off".
 import pytest
 
 from repro.analysis import audit_core, audit_relation, audit_session
+from repro.analysis import sanitize
 from repro.analysis.sanitize import enabled
+from repro.chase import chase
 from repro.chase.session import ChaseSession
+from repro.chase.vector import VectorChaseState
+from repro.core.relation import Relation
 from repro.core.schema import RelationSchema
 from repro.core.values import null
 from repro.errors import SanitizerError
@@ -27,6 +31,15 @@ def healthy_session(**kwargs):
     session.delete(1)
     session.fill(0, "B", "b7")
     return session
+
+
+def healthy_vector_state():
+    relation = Relation(
+        SCHEMA, [("a1", null(), "c1"), ("a1", "b1", null()), ("a2", "b2", "c2")]
+    )
+    state = VectorChaseState(relation, FDS)
+    state.run_vectorized()
+    return state
 
 
 class TestEnvironmentFlag:
@@ -73,6 +86,22 @@ class TestHealthyStates:
     def test_audit_core_accepts_a_quiescent_session(self):
         audit_core(healthy_session())
 
+    def test_batch_chase_self_audits_at_its_fixpoint(self, monkeypatch):
+        # under the flag, the vector engine behind chase() audits its
+        # own fixpoint — root arrays included — and it is clean
+        audited = []
+        real_audit = sanitize.audit_core
+
+        def recording_audit(core):
+            audited.append(core)
+            real_audit(core)
+
+        monkeypatch.setattr(sanitize, "audit_core", recording_audit)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        relation = Relation(SCHEMA, [("a1", null(), "c1"), ("a1", "b1", "c2")])
+        assert chase(relation, FDS).has_nothing
+        assert [type(core) for core in audited] == [VectorChaseState]
+
 
 class TestTamperingDetection:
     def test_occurrence_index_mismatch(self):
@@ -110,6 +139,13 @@ class TestTamperingDetection:
         session.uf.weight[root] = 0
         with pytest.raises(SanitizerError, match="weight"):
             audit_session(session)
+
+    def test_root_array_drift(self):
+        state = healthy_vector_state()
+        audit_core(state)
+        state._roots[0][0] = state._roots[0][2]  # row 0's A is not a2
+        with pytest.raises(SanitizerError, match="root-arrays"):
+            audit_core(state)
 
     def test_slot_table_break(self):
         session = healthy_session()

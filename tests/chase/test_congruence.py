@@ -1,9 +1,12 @@
-"""Tests for the congruence-closure chase engine: equivalence with the
-fixpoint engine (the DST construction behind Theorem 4)."""
+"""Extended-rule cases from the congruence-closure reading of Theorem 4
+(the DST construction: equal arguments force equal results).
+
+They run through ``chase()``'s extended-mode default, the vector engine;
+the property suites hold it to the sweep engine's fixpoint.
+"""
 
 from hypothesis import given, settings
 
-from repro.chase.congruence import congruence_chase
 from repro.chase.engine import MODE_EXTENDED, chase
 from repro.chase.minimal import canonical_form
 from repro.core.relation import Relation
@@ -16,30 +19,30 @@ from ..strategies import fd_sets, instances
 class TestBasicBehaviour:
     def test_substitution(self):
         r = rel("A B", [("a", "-"), ("a", "b1")])
-        result = congruence_chase(r, ["A -> B"])
+        result = chase(r, ["A -> B"])
         assert result.relation[0]["B"] == "b1"
 
     def test_nec(self):
         r = rel("A B", [("a", "-"), ("a", "-")])
-        result = congruence_chase(r, ["A -> B"])
+        result = chase(r, ["A -> B"])
         assert result.relation[0]["B"] is result.relation[1]["B"]
         assert len(result.nec_classes) == 1
 
     def test_poisoning_and_propagation(self):
         r = rel("A B", [("a", "b1"), ("a", "b2"), ("z", "b1")])
-        result = congruence_chase(r, ["A -> B"])
+        result = chase(r, ["A -> B"])
         assert result.relation[2]["B"] is NOTHING
 
     def test_cascade_through_merged_signatures(self):
         # merging B-classes changes the X-signature of B -> C applications:
         # the re-signing path must fire them
         r = rel("A B C", [("a", "-", "-"), ("a", "-", "c5")])
-        result = congruence_chase(r, ["A -> B", "B -> C"])
+        result = chase(r, ["A -> B", "B -> C"])
         assert result.relation[0]["C"] == "c5"
 
     def test_section6_example(self):
         r = rel("A B C", [("a", "-", "c1"), ("a", "-", "c2")])
-        result = congruence_chase(r, ["A -> B", "B -> C"])
+        result = chase(r, ["A -> B", "B -> C"])
         assert result.has_nothing
 
     def test_figure5_unique_nothing_column(self):
@@ -47,12 +50,12 @@ class TestBasicBehaviour:
             "A B C",
             [("a1", "-", "c1"), ("a1", "b1", "c2"), ("a2", "b2", "c1")],
         )
-        result = congruence_chase(r, ["A -> B", "C -> B"])
+        result = chase(r, ["A -> B", "C -> B"])
         assert all(row["B"] is NOTHING for row in result.relation)
 
     def test_no_fds_identity(self):
         r = rel("A B", [("a", "-")])
-        result = congruence_chase(r, [])
+        result = chase(r, [])
         assert canonical_form(result.relation) == canonical_form(r)
 
 
@@ -69,21 +72,21 @@ class TestDeepCascades:
                 ("w", "q", "c0", "d0"),
             ],
         )
-        result = congruence_chase(r, fds)
-        expected = chase(r, fds, mode=MODE_EXTENDED)
+        result = chase(r, fds)
+        expected = chase(r, fds, mode=MODE_EXTENDED, engine="sweep")
         assert canonical_form(result.relation) == canonical_form(expected.relation)
 
     def test_shared_nulls_across_columns(self):
         n = null()
         schema = schema_of("A B")
         r = Relation(schema, [(n, n), ("a", "x")])
-        result = congruence_chase(r, ["A -> B"])
-        expected = chase(r, ["A -> B"], mode=MODE_EXTENDED)
+        result = chase(r, ["A -> B"])
+        expected = chase(r, ["A -> B"], mode=MODE_EXTENDED, engine="sweep")
         assert canonical_form(result.relation) == canonical_form(expected.relation)
 
 
 # ---------------------------------------------------------------------------
-# property-based equivalence with the fixpoint engine
+# property-based equivalence with the sweep engine
 # ---------------------------------------------------------------------------
 
 _pool = ("A -> B", "B -> C", "A -> C", "C -> B", "A B -> C", "C -> A B")
@@ -95,8 +98,8 @@ _pool = ("A -> B", "B -> C", "A -> C", "C -> B", "A B -> C", "C -> A B")
 )
 @settings(max_examples=200, deadline=None)
 def test_congruence_equals_extended_fixpoint(instance, fds):
-    fast = congruence_chase(instance, fds)
-    slow = chase(instance, fds, mode=MODE_EXTENDED)
+    fast = chase(instance, fds)
+    slow = chase(instance, fds, mode=MODE_EXTENDED, engine="sweep")
     assert canonical_form(fast.relation) == canonical_form(slow.relation)
     assert fast.has_nothing == slow.has_nothing
 
@@ -107,8 +110,8 @@ def test_congruence_equals_extended_fixpoint(instance, fds):
 )
 @settings(max_examples=100, deadline=None)
 def test_congruence_substitutions_match(instance, fds):
-    fast = congruence_chase(instance, fds)
-    slow = chase(instance, fds, mode=MODE_EXTENDED)
+    fast = chase(instance, fds)
+    slow = chase(instance, fds, mode=MODE_EXTENDED, engine="sweep")
     fast_subs = {id(k): v for k, v in fast.substitutions.items()}
     slow_subs = {id(k): v for k, v in slow.substitutions.items()}
     assert fast_subs == slow_subs

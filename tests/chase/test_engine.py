@@ -181,22 +181,6 @@ def test_extended_sweep_is_strategy_invariant(instance, fds, strategy, seed):
     assert_field_identical(other, reference)
 
 
-@given(instances(max_rows=5), fd_sets())
-@settings(max_examples=100, deadline=None)
-def test_engine_congruence_dispatch_matches_default(instance, fds):
-    """chase(engine="congruence") runs the shared-core congruence engine
-    and lands on the same fields as the default indexed path."""
-    via_param = chase(instance, fds, mode=MODE_EXTENDED, engine="congruence")
-    default = chase(instance, fds, mode=MODE_EXTENDED)
-    assert_field_identical(via_param, default)
-
-
-def test_engine_congruence_rejects_basic_mode():
-    r = rel("A B", [("a", "b")])
-    with pytest.raises(ValueError):
-        chase(r, ["A -> B"], mode=MODE_BASIC, engine="congruence")
-
-
 class TestXSideSubstitutions:
     """Section 4's domain-dependent conditions (1) and (2) — reported only."""
 

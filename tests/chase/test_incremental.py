@@ -4,7 +4,7 @@ fixpoint across a stream of inserts."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chase import ChaseSession, canonical_form, congruence_chase
+from repro.chase import ChaseSession, canonical_form, chase
 from repro.core.relation import Relation
 from repro.core.values import NOTHING, null
 
@@ -69,7 +69,7 @@ class TestEquivalenceWithBatch:
         session = ChaseSession(relation.schema, fds)
         for row in relation.rows:
             session.insert(row)
-        batch = congruence_chase(relation, fds)
+        batch = chase(relation, fds)
         assert canonical_form(session.result().relation) == canonical_form(
             batch.relation
         )
@@ -101,7 +101,7 @@ def test_incremental_equals_batch(rows, fds):
     session = ChaseSession(schema, fds)
     for row in relation.rows:
         session.insert(row)
-    batch = congruence_chase(relation, fds)
+    batch = chase(relation, fds)
     assert canonical_form(session.result().relation) == canonical_form(
         batch.relation
     )

@@ -1,20 +1,23 @@
-"""Engine-equivalence tests for the worklist-driven indexed chase.
+"""Engine-equivalence tests for the fast extended-mode chase paths.
 
-The indexed engine replaces the sweep engine's per-firing group rebuild
-with incrementally maintained buckets; Theorem 4 (finite Church-Rosser in
-extended mode) is what licenses the different firing order.  These tests
-pin the stronger, implementation-level contract: ``relation`` (up to null
-*identity*, not just canonical form), ``nec_classes`` and
-``substitutions`` are **field-identical** across the sweep, indexed and
-congruence engines, on randomized instances with constants, fresh nulls,
-shared nulls and NOTHING cells.
+``chase(mode="extended")`` runs the vector engine (maintained per-column
+root arrays); :class:`~repro.chase.ChaseSession` runs the journalled
+worklist core.  Both replace the sweep engine's per-firing group rebuild
+with incrementally maintained structures; Theorem 4 (finite Church-Rosser
+in extended mode) is what licenses the different firing order.  These
+tests pin the stronger, implementation-level contract: ``relation`` (up to
+null *identity*, not just canonical form), ``nec_classes`` and
+``substitutions`` are **field-identical** across the sweep engine (the
+paper's Figure 5 chase, the reference), the vector engine and the session
+core, on randomized instances with constants, fresh nulls, shared nulls
+and NOTHING cells.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chase.congruence import congruence_chase
+from repro.chase import ChaseSession
 from repro.chase.engine import (
     MODE_BASIC,
     MODE_EXTENDED,
@@ -23,7 +26,7 @@ from repro.chase.engine import (
     STRATEGY_ROUND_ROBIN,
     chase,
 )
-from repro.chase.indexed import IndexedChaseState, indexed_chase
+from repro.chase.vector import vectorized_chase
 from repro.core.values import NOTHING
 
 from ..helpers import rel
@@ -40,18 +43,18 @@ _STRATEGIES = (STRATEGY_FD_ORDER, STRATEGY_ROUND_ROBIN, STRATEGY_RANDOM)
 class TestWorklistBehaviour:
     def test_substitution(self):
         r = rel("A B", [("a", "-"), ("a", "b1")])
-        result = indexed_chase(r, ["A -> B"])
+        result = chase(r, ["A -> B"])
         assert result.relation[0]["B"] == "b1"
 
     def test_cascade_through_rebucketing(self):
-        # the A -> B nec must re-bucket both rows for B -> C and fire it
+        # the A -> B nec must regroup both rows for B -> C and fire it
         r = rel("A B C", [("a", "-", "-"), ("a", "-", "c5")])
-        result = indexed_chase(r, ["A -> B", "B -> C"])
+        result = chase(r, ["A -> B", "B -> C"])
         assert result.relation[0]["C"] == "c5"
 
     def test_poisoning_propagates_through_interning(self):
         r = rel("A B", [("a", "b1"), ("a", "b2"), ("z", "b1")])
-        result = indexed_chase(r, ["A -> B"])
+        result = chase(r, ["A -> B"])
         assert result.relation[2]["B"] is NOTHING
 
     def test_figure5_unique_nothing_column(self):
@@ -59,29 +62,33 @@ class TestWorklistBehaviour:
             "A B C",
             [("a1", "-", "c1"), ("a1", "b1", "c2"), ("a2", "b2", "c1")],
         )
-        result = indexed_chase(r, ["A -> B", "C -> B"])
+        result = chase(r, ["A -> B", "C -> B"])
         assert all(row["B"] is NOTHING for row in result.relation)
 
     def test_chase_defaults_to_indexed_in_extended_mode(self):
+        """The extended-mode default is the vector engine."""
         r = rel("A B", [("a", "-"), ("a", "b1")])
         via_chase = chase(r, ["A -> B"], mode=MODE_EXTENDED)
-        direct = indexed_chase(r, ["A -> B"])
+        direct = vectorized_chase(r, ["A -> B"])
         assert_field_identical(via_chase, direct)
+        assert via_chase.applications == direct.applications
+        assert via_chase.passes == direct.passes
 
     def test_basic_mode_rejected(self):
         r = rel("A B", [("a", "b")])
         with pytest.raises(ValueError):
-            chase(r, ["A -> B"], mode=MODE_BASIC, engine="indexed")
+            chase(r, ["A -> B"], mode=MODE_BASIC, engine="vector")
 
     def test_unknown_engine_rejected(self):
         r = rel("A B", [("a", "b")])
-        with pytest.raises(ValueError):
-            chase(r, ["A -> B"], engine="nope")
+        for engine in ("nope", "indexed", "congruence"):
+            with pytest.raises(ValueError):
+                chase(r, ["A -> B"], engine=engine)
 
     def test_fixpoint_has_no_applications_when_rechased(self):
         r = rel("A B C", [("a", "-", "c1"), ("a", "-", "c2")])
-        once = indexed_chase(r, ["A -> B", "B -> C"])
-        twice = indexed_chase(once.relation, ["A -> B", "B -> C"])
+        once = chase(r, ["A -> B", "B -> C"])
+        twice = chase(once.relation, ["A -> B", "B -> C"])
         assert twice.applications == []
         # relation is unchanged; nec_classes/substitutions legitimately
         # differ — the rechase's input holds ONE shared null object where
@@ -104,7 +111,8 @@ class TestWorklistBehaviour:
 )
 @settings(max_examples=250, deadline=None)
 def test_indexed_equals_sweep_on_random_instances(instance, fds, strategy, seed):
-    fast = indexed_chase(instance, fds)
+    """The default extended engine equals sweep under every strategy."""
+    fast = chase(instance, fds)
     slow = chase(
         instance, fds, mode=MODE_EXTENDED, strategy=strategy, seed=seed,
         engine="sweep",
@@ -115,11 +123,12 @@ def test_indexed_equals_sweep_on_random_instances(instance, fds, strategy, seed)
 @given(instances(), fd_sets())
 @settings(max_examples=150, deadline=None)
 def test_all_three_engines_field_identical(instance, fds):
-    fast = indexed_chase(instance, fds)
-    cong = congruence_chase(instance, fds)
+    """Sweep, vector and the session core: one fixpoint."""
+    fast = chase(instance, fds)
+    session = ChaseSession(instance, fds).result()
     slow = chase(instance, fds, mode=MODE_EXTENDED, engine="sweep")
     assert_field_identical(fast, slow)
-    assert_field_identical(cong, slow)
+    assert_field_identical(session, slow)
 
 
 @given(

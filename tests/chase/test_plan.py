@@ -13,7 +13,7 @@ matches the unplanned engine byte-for-byte.
 
 from hypothesis import given, settings
 
-from repro.chase.indexed import indexed_chase
+from repro.chase.engine import chase
 from repro.chase.sharded import sharded_chase
 from repro.chase.plan import fuse_for_rows, plan_shards
 from repro.core.fd import as_fd
@@ -141,14 +141,15 @@ class TestRowFusion:
 
 
 class TestSingletonPlanMatchesUnplannedEngine:
-    """A one-shard plan must execute byte-identically to ``indexed_chase``."""
+    """A one-shard plan must execute byte-identically to the unplanned
+    ``chase()``."""
 
     @given(instances(), fd_sets(pool=CHASE_FD_POOL, min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
     def test_single_component_instances(self, instance, fds):
         # CHASE_FD_POOL spans A..D densely; whatever the component shape,
         # the planned execution must match the unplanned engine exactly
-        reference = indexed_chase(instance, fds)
+        reference = chase(instance, fds)
         planned = sharded_chase(instance, fds)
         assert_field_identical(planned, reference)
 
@@ -156,5 +157,5 @@ class TestSingletonPlanMatchesUnplannedEngine:
         r = rel("A B C", [("a", "-", "-"), ("a", "-", "c5")])
         fds = ["A B C -> A B C", "A -> B", "B -> C"]
         assert_field_identical(
-            sharded_chase(r, fds), indexed_chase(r, fds)
+            sharded_chase(r, fds), chase(r, fds)
         )

@@ -8,6 +8,8 @@ sequence of insert / delete / update / fill / snapshot / rollback, ::
 
 field by field (rows, NEC classes, substitutions with null identity,
 ``has_nothing``) — including NOTHING-bearing (poisoned) states.  The
+oracle is independent of the session: ``chase()`` runs the vector
+engine, which shares none of the session's worklist core.  The
 hypothesis driver below mirrors the session's raw semantics op by op and
 asserts the invariant after every single step, so a journaling bug in any
 trail entry kind surfaces with a minimal counterexample.

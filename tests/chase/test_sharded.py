@@ -1,8 +1,8 @@
 """Sharded-vs-serial differential suite: the stitched result is exact.
 
 The acceptance contract for the sharded chase
-(``repro/chase/sharded.py``) is *field identity* with the single-shard
-engines — same row values (null equality as object identity), same NEC
+(``repro/chase/sharded.py``) is *field identity* with the unsharded sweep
+engine, the paper's Figure 5 chase — same row values (null equality as object identity), same NEC
 classes in the same order, same substitutions, same NOTHING verdict.  The
 randomized suite runs over a multi-component FD pool with shared nulls
 and bypass columns; directed cases pin the stitch (a bypass occurrence of
@@ -14,8 +14,7 @@ verification path.
 import pytest
 from hypothesis import given, settings
 
-from repro.chase.engine import ENGINE_VECTOR, chase
-from repro.chase.indexed import indexed_chase
+from repro.chase.engine import ENGINE_SWEEP, ENGINE_VECTOR, chase
 from repro.chase.session import ChaseSession
 from repro.chase.sharded import STRATEGY_SHARDED, sharded_chase
 from repro.chase.vector import vectorized_chase
@@ -24,6 +23,11 @@ from repro.errors import ReproError
 
 from ..helpers import rel, schema_of
 from ..strategies import assert_field_identical, fd_sets, instances
+
+def sweep_chase(relation, fds):
+    """The reference: the strategy-parametric sweep engine, extended mode."""
+    return chase(relation, fds, engine=ENGINE_SWEEP)
+
 
 #: FDs over A..F forming several components, leaving G H untouched —
 #: the plan exercises multi-shard execution plus bypass splicing
@@ -48,7 +52,8 @@ class TestInProcessDifferential:
     )
     @settings(max_examples=250, deadline=None)
     def test_sharded_matches_indexed(self, instance, fds):
-        reference = indexed_chase(instance, fds)
+        """Sharded execution equals the unsharded reference chase."""
+        reference = sweep_chase(instance, fds)
         stitched = sharded_chase(instance, fds)
         assert stitched.strategy == STRATEGY_SHARDED
         assert_field_identical(stitched, reference)
@@ -67,7 +72,7 @@ class TestInProcessDifferential:
         shared = null()
         r = rel("A B C", [("a", "b1", shared), ("a", "b2", shared)])
         result = sharded_chase(r, ["A -> B"])
-        reference = indexed_chase(r, ["A -> B"])
+        reference = sweep_chase(r, ["A -> B"])
         assert_field_identical(result, reference)
         # the C column (bypass) still holds the original null object
         assert result.relation.rows[0].values[2] is shared
@@ -78,7 +83,7 @@ class TestInProcessDifferential:
         shared = null()
         r = rel("A B C", [("a", shared, shared), ("a", "b", "c")])
         stitched = sharded_chase(r, ["A -> B"])
-        assert_field_identical(stitched, indexed_chase(r, ["A -> B"]))
+        assert_field_identical(stitched, sweep_chase(r, ["A -> B"]))
         assert stitched.relation.rows[0].values == ("a", "b", "b")
 
     def test_cross_shard_representative_order_is_global(self):
@@ -88,7 +93,7 @@ class TestInProcessDifferential:
         u, v = null(), null()
         r = rel("C A B", [(v, "a", u), ("x", "a", v)])
         stitched = sharded_chase(r, ["A -> B"])
-        assert_field_identical(stitched, indexed_chase(r, ["A -> B"]))
+        assert_field_identical(stitched, sweep_chase(r, ["A -> B"]))
         assert stitched.nec_classes == [(v, u)]
         assert stitched.relation.rows[0].values == (v, "a", v)
 
@@ -96,21 +101,22 @@ class TestInProcessDifferential:
         weird = ("tu", "ple")  # hashable constant no wire codec carries
         r = rel("A B C D", [("a", "b", weird, "d"), ("a", "-", weird, "-")])
         fds = ["A -> B", "C -> D"]
-        assert_field_identical(sharded_chase(r, fds), indexed_chase(r, fds))
+        assert_field_identical(sharded_chase(r, fds), sweep_chase(r, fds))
 
 
 class TestVectorEngine:
     @given(instances(), fd_sets(min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_vectorized_matches_indexed(self, instance, fds):
+        """The vector engine equals the unsharded reference chase."""
         assert_field_identical(
-            vectorized_chase(instance, fds), indexed_chase(instance, fds)
+            vectorized_chase(instance, fds), sweep_chase(instance, fds)
         )
 
     def test_engine_vector_selects_the_vector_path(self):
         r = rel("A B", [("a", "-"), ("a", "b")])
         result = chase(r, ["A -> B"], engine=ENGINE_VECTOR)
-        assert_field_identical(result, indexed_chase(r, ["A -> B"]))
+        assert_field_identical(result, sweep_chase(r, ["A -> B"]))
         # the standalone entry point labels its results
         assert vectorized_chase(r, ["A -> B"]).strategy == "vector"
 

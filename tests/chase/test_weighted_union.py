@@ -1,8 +1,9 @@
 """Occurrence-weighted union: the invariant and its observable neutrality.
 
-The shared chase core weighs every union-find node by its cell-occurrence
-count, so a merge keeps the occurrence-heavy class as root and moves the
-short occurrence list.  Two things need pinning:
+The vector engine and the session's worklist core both weigh every
+union-find node by its cell-occurrence count, so a merge keeps the
+occurrence-heavy class as root and moves the short occurrence list.  Two
+things need pinning:
 
 * the **invariant** — the heavier class really does become the root, in
   particular when an interned constant (one node, many cells) meets a
@@ -15,9 +16,9 @@ short occurrence list.  Two things need pinning:
 
 from hypothesis import given, settings
 
-from repro.chase.congruence import congruence_chase
+from repro.chase import ChaseSession
 from repro.chase.engine import MODE_EXTENDED, chase
-from repro.chase.indexed import IndexedChaseState, indexed_chase
+from repro.chase.vector import VectorChaseState
 from repro.core.relation import Relation
 from repro.core.values import null
 
@@ -33,7 +34,7 @@ class TestOccurrenceWeightInvariant:
         rows = [(n, "c") for n in nulls] + [
             ("a1", "c"), ("a2", "c"), ("a3", "c")
         ]
-        state = IndexedChaseState(Relation(schema_of("A B"), rows), [])
+        state = VectorChaseState(Relation(schema_of("A B"), rows), [])
         return state, nulls
 
     def test_interned_constant_carries_its_occurrence_weight(self):
@@ -76,16 +77,19 @@ class TestOccurrenceWeightInvariant:
 @given(instances(max_rows=5), fd_sets())
 @settings(max_examples=100, deadline=None)
 def test_indexed_chase_invariant_under_fd_order(instance, fds):
-    forward = indexed_chase(instance, fds)
-    backward = indexed_chase(instance, list(reversed(fds)))
+    """The batch extended chase (the vector engine)."""
+    forward = chase(instance, fds)
+    backward = chase(instance, list(reversed(fds)))
     assert_field_identical(backward, forward)
 
 
 @given(instances(max_rows=5), fd_sets())
 @settings(max_examples=100, deadline=None)
 def test_congruence_chase_invariant_under_fd_order(instance, fds):
-    forward = congruence_chase(instance, fds)
-    backward = congruence_chase(instance, list(reversed(fds)))
+    """The session's worklist core — congruence closure's signature table
+    and use list, maintained incrementally."""
+    forward = ChaseSession(instance, fds).result()
+    backward = ChaseSession(instance, list(reversed(fds))).result()
     assert_field_identical(backward, forward)
 
 
@@ -96,5 +100,5 @@ def test_fd_order_invariance_holds_across_engines(instance, fds):
     lands on the same fields — partition-determined extraction composed
     with Theorem 4's unique fixpoint."""
     reference = chase(instance, fds, mode=MODE_EXTENDED, engine="sweep")
-    flipped = congruence_chase(instance, list(reversed(fds)))
+    flipped = ChaseSession(instance, list(reversed(fds))).result()
     assert_field_identical(flipped, reference)

@@ -276,3 +276,44 @@ def test_multi_relation_answer_keeps_distinct_nulls_distinct(tmp_path):
     assert joined["ok"] and single["ok"]
     assert joined["certain"]["rows"] == [[{"n": "r/n0"}, "b", {"n": "s/n0"}]]
     assert single["certain"]["rows"] == [[{"n": "n0"}, "b"]]
+
+
+def test_two_relations_named_nulls_keep_their_own_tokens(tmp_path):
+    """``{"n": "x"}`` sent to ``r`` and to ``s`` names two unknowns, one
+    per relation codec.  A union over both must answer two tokens, each
+    qualified by its own relation, and attribute each unknown's
+    provenance to the relation it came from."""
+
+    async def go():
+        server = ReproServer(tmp_path / "db", sync="flush", create=True)
+        await server.start()
+        await server.handle(
+            {"do": "create", "name": "r", "attrs": "A C", "fds": "A -> C"}
+        )
+        await server.handle(
+            {"do": "create", "name": "s", "attrs": "C D", "fds": "C -> D"}
+        )
+        await server.handle(
+            {"do": "insert", "rel": "r", "row": ["a", {"n": "x"}]}
+        )
+        await server.handle(
+            {"do": "insert", "rel": "s", "row": [{"n": "x"}, "d"]}
+        )
+        union = await server.handle(
+            {"do": "query", "q": "r[C] union s[C]", "mode": "kleene"}
+        )
+        single = await server.handle({"do": "query", "q": "s", "mode": "kleene"})
+        await server.stop()
+        return union, single
+
+    union, single = asyncio.run(go())
+    assert union["ok"] and single["ok"]
+    rows = union["certain"]["rows"] + union["maybe"]["rows"]
+    assert sorted(row[0]["n"] for row in rows) == ["r/x", "s/x"]
+    provenance = dict(union["certain"].get("provenance", {}))
+    provenance.update(union["maybe"].get("provenance", {}))
+    assert sorted(
+        (record["relation"], record["id"]) for record in provenance.values()
+    ) == [("r", "x"), ("s", "x")]
+    # a one-relation answer keeps the bare codec token
+    assert single["certain"]["rows"] == [[{"n": "x"}, "d"]]

@@ -18,7 +18,6 @@ from repro.testfd import (
     CONVENTION_WEAK,
     check_fds,
     check_fds_batched,
-    check_fds_bucket,
     check_fds_pairwise,
     check_fds_sortmerge,
     check_single_fd_presorted,
@@ -63,7 +62,7 @@ class TestStrongConventionRouting:
         with pytest.raises(ConventionError):
             check_fds_sortmerge(r, ["A -> B"], CONVENTION_STRONG)
         with pytest.raises(ConventionError):
-            check_fds_bucket(r, ["A -> B"], CONVENTION_STRONG)
+            check_fds_batched(r, ["A -> B"], CONVENTION_STRONG)
 
     def test_auto_falls_back_to_pairwise(self):
         r = rel("A B", [("-", 1), ("a", 2)])
@@ -164,9 +163,9 @@ def _fd_lists():
 )
 @settings(max_examples=150, deadline=None)
 def test_variants_agree(instance, fds, convention):
-    """pairwise == sortmerge == bucket == batched (wherever defined)."""
+    """pairwise == sortmerge == batched == auto (wherever defined)."""
     reference = check_fds_pairwise(instance, fds, convention)
-    for variant in (check_fds_sortmerge, check_fds_bucket, check_fds_batched):
+    for variant in (check_fds_sortmerge, check_fds_batched, check_fds):
         try:
             outcome = variant(instance, fds, convention)
         except ConventionError:

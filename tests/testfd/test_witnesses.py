@@ -16,7 +16,8 @@ from repro.errors import ConventionError
 from repro.testfd import (
     CONVENTION_STRONG,
     CONVENTION_WEAK,
-    check_fds_bucket,
+    check_fds,
+    check_fds_batched,
     check_fds_pairwise,
     check_fds_sortmerge,
     class_function,
@@ -70,7 +71,9 @@ def _witness_is_honest(relation, outcome, convention):
 @settings(max_examples=150, deadline=None)
 def test_all_variants_produce_honest_witnesses(case, convention):
     relation, fds = case
-    for variant in (check_fds_pairwise, check_fds_sortmerge, check_fds_bucket):
+    for variant in (
+        check_fds_pairwise, check_fds_sortmerge, check_fds_batched, check_fds
+    ):
         try:
             outcome = variant(relation, fds, convention)
         except ConventionError:

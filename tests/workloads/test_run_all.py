@@ -98,6 +98,7 @@ def test_committed_baselines_match_schema():
         "BENCH_PR9.json",
         "BENCH_PR10.json",
         "BENCH_PR16.json",
+        "BENCH_PR18.json",
     ):
         path = REPO_ROOT / name
         assert path.exists(), f"{name} missing from the repo root"
@@ -163,6 +164,47 @@ def test_pr16_baseline_records_sharded_series():
     )
     assert (
         a2["speedups"]["old-row retirement speedup at largest configuration"]
+        >= 3.0
+    )
+
+
+def test_pr18_baseline_records_one_engine_series():
+    """BENCH_PR18.json labels E5, E3 and E4 by the role measured, not by
+    an engine: the default extended chase over the sweep (>= 5x), hash
+    grouping, and batched over per-FD grouping (>= 2x on E3b); no label
+    names a deleted engine or variant, and the sharded, pruning and
+    session headlines held."""
+    report = json.loads((REPO_ROOT / "BENCH_PR18.json").read_text())
+    e5 = report["benchmarks"]["bench_e5_chase_scaling"]
+    assert e5["status"] == "ok"
+    speedups = e5["speedups"]
+    assert (
+        speedups["extended chase speedup over sweep at largest configuration"]
+        >= 5.0
+    )
+    assert (
+        speedups["sharded chase speedup over unified at largest configuration"]
+        >= 1.5
+    )
+    assert speedups["cover-pruning speedup at largest configuration"] >= 1.2
+    assert "extended chase log-log slope in p" in e5["slopes"]
+    e3 = report["benchmarks"]["bench_e3_testfds_scaling"]
+    assert e3["status"] == "ok"
+    assert (
+        e3["speedups"]["batched speedup over per-FD grouping at largest n"]
+        >= 2.0
+    )
+    assert "log-log slope, hash grouping" in e3["slopes"]
+    e4 = report["benchmarks"]["bench_e4_testfds_variants"]
+    assert "hash grouping log-log slope" in e4["slopes"]
+    for entry in (e5, e3, e4):
+        for label in list(entry["speedups"]) + list(entry["slopes"]):
+            assert not any(
+                engine in label for engine in ("indexed", "congruence", "bucket")
+            ), label
+    a2 = report["benchmarks"]["bench_a2_incremental"]
+    assert (
+        a2["speedups"]["session mixed-workload speedup at largest configuration"]
         >= 3.0
     )
 
@@ -267,7 +309,7 @@ def _run_compare(fresh_path, *extra):
 
 #: the latest committed baseline — compare.py's default reference, and the
 #: doctoring source for the negative-path tests below
-LATEST_BASELINE = "BENCH_PR16.json"
+LATEST_BASELINE = "BENCH_PR18.json"
 
 
 def test_compare_accepts_the_baseline_against_itself():
@@ -338,6 +380,32 @@ def test_compare_tolerates_fresh_only_benchmarks_and_labels(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "fresh-only benchmark(s)" in proc.stdout
     assert "bench_e99_brand_new" in proc.stdout
+
+
+def test_compare_retires_a_vanished_slope_it_names(tmp_path):
+    """A slope label listed in RETIRED_LABELS may vanish: the guard
+    prints an info line with the reason instead of failing."""
+    report = json.loads((REPO_ROOT / "BENCH_PR16.json").read_text())
+    e5 = report["benchmarks"]["bench_e5_chase_scaling"]
+    del e5["slopes"]["indexed log-log slope in p"]
+    doctored = tmp_path / "retired.json"
+    doctored.write_text(json.dumps(report))
+    proc = _run_compare(doctored, "--baseline", str(REPO_ROOT / "BENCH_PR16.json"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "retired: bench_e5_chase_scaling: 'indexed log-log slope in p'" in (
+        proc.stdout
+    )
+
+
+def test_compare_rejects_an_unretired_vanished_slope(tmp_path):
+    report = json.loads((REPO_ROOT / "BENCH_PR16.json").read_text())
+    e5 = report["benchmarks"]["bench_e5_chase_scaling"]
+    del e5["slopes"]["sweep log-log slope in p"]
+    doctored = tmp_path / "vanished_slope.json"
+    doctored.write_text(json.dumps(report))
+    proc = _run_compare(doctored, "--baseline", str(REPO_ROOT / "BENCH_PR16.json"))
+    assert proc.returncode == 1
+    assert "slope line 'sweep log-log slope in p' vanished" in proc.stdout
 
 
 def test_compare_rejects_a_malformed_series(tmp_path):
