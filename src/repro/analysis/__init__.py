@@ -5,7 +5,11 @@ Three coordinated passes, none of which executes user ops:
 * :mod:`repro.analysis.check` — the ``repro lint`` checker: a whole
   session/db script or server batch analyzed against a schema + FD set,
   every finding a structured :class:`Diagnostic` (line, code, message,
-  suggested fix) instead of a first-failure traceback mid-execution;
+  suggested fix) instead of a first-failure traceback mid-execution.
+  Scripts and batches share one interpreter: each front end reads its
+  syntax into the op records execution applies, and one loop applies
+  them to an abstract instance (:func:`lint_script`,
+  :func:`lint_requests`);
 * :mod:`repro.analysis.diagnostics` — the diagnostic schema itself,
   shared verbatim by the CLI, runtime :class:`~repro.errors.ScriptError`
   reporting, and the server's batch fast-reject payload;
@@ -21,11 +25,8 @@ Three coordinated passes, none of which executes user ops:
   :class:`~repro.errors.SanitizerError` findings.
 """
 
+from ..opschema import BATCH_VERBS, SCRIPT_OPS
 from .check import (
-    BATCH_VERBS,
-    BatchLinter,
-    SCRIPT_OPS,
-    ScriptLinter,
     has_errors,
     lint_query_request,
     lint_query_script,
@@ -44,11 +45,9 @@ from .sanitize import enabled as sanitize_enabled
 
 __all__ = [
     "BATCH_VERBS",
-    "BatchLinter",
     "CODES",
     "Diagnostic",
     "SCRIPT_OPS",
-    "ScriptLinter",
     "audit_core",
     "audit_evaluator",
     "audit_relation",

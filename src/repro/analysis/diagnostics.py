@@ -22,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping
 
-from ..errors import CodecError, ConventionError, DomainError
+from ..errors import (
+    CodecError,
+    ConventionError,
+    DomainError,
+    InconsistentInstanceError,
+    OpError,
+)
 
 #: every diagnostic code with its one-line meaning.  Codes are stable
 #: machine identifiers (tests and client tooling match on them); the
@@ -47,6 +53,8 @@ CODES: Dict[str, str] = {
     # -- server batch requests ---------------------------------------------
     "E_BAD_REQUEST": "request is not a well-formed op object",
     "E_UNKNOWN_VERB": "verb is not a mutation verb",
+    # -- the wire ------------------------------------------------------------
+    "E_LINE_TOO_LONG": "request line is longer than the server reads",
     # -- query scripts and the query verb ----------------------------------
     "E_UNKNOWN_RELATION": "query scans a relation the catalog does not have",
     "E_BAD_CELL": "cell token is not decodable",
@@ -124,16 +132,12 @@ def render_report(diagnostics: List[Diagnostic], kind: str = "line") -> str:
 #: substring -> code, applied in order to the stringified cause.  The
 #: messages matched here are the library's own raise sites (each is pinned
 #: by an existing test); a new raise site with a new shape falls through
-#: to E_RUNTIME rather than misclassifying.
+#: to E_RUNTIME rather than misclassifying.  Parse and decode failures
+#: never get here: they raise a coded OpError.
 _MESSAGE_RULES = (
     ("rollback without a snapshot", "E_ROLLBACK_UNDERFLOW"),
     ("outstanding snapshot", "E_CHECKPOINT_HELD"),
-    ("checkpoint is a durable-database op", "E_CHECKPOINT_SCOPE"),
     ("cell is not null", "E_FILL_CONST"),
-    ("unknown session op", "E_UNKNOWN_OP"),
-    ("unknown convention", "E_CONVENTION"),
-    ("bad assignment", "E_BAD_ASSIGN"),
-    ("unknown mutation verb", "E_UNKNOWN_VERB"),
     ("no row at index", "E_BAD_INDEX"),
     ("unknown attribute", "E_UNKNOWN_ATTR"),
     ("unknown attributes", "E_UNKNOWN_ATTR"),
@@ -148,11 +152,17 @@ def classify_cause(cause: Exception | str) -> str:
     """Map a runtime failure onto the diagnostic code the static checker
     would have emitted for the same op.
 
-    Classification is by exception type first (the unambiguous families),
-    then by the message shapes of the library's own raise sites, with
-    ``E_RUNTIME`` as the honest fallback for anything unrecognized.
+    Classification is by exception type first (a coded
+    :class:`~repro.errors.OpError` carries its code; the other
+    unambiguous families map whole), then by the message shapes of the
+    library's own raise sites, with ``E_RUNTIME`` as the honest fallback
+    for anything unrecognized.
     """
     text = str(cause)
+    if isinstance(cause, OpError):
+        return cause.code
+    if isinstance(cause, InconsistentInstanceError):
+        return "E_FD_CONFLICT"
     if isinstance(cause, ConventionError):
         return "E_CONVENTION"
     if isinstance(cause, DomainError):
@@ -162,6 +172,4 @@ def classify_cause(cause: Exception | str) -> str:
     for fragment, code in _MESSAGE_RULES:
         if fragment in text:
             return code
-    if isinstance(cause, ValueError):
-        return "E_BAD_INT"
     return "E_RUNTIME"

@@ -88,6 +88,22 @@ class DatabaseError(ReproError):
     """
 
 
+class OpError(ReproError):
+    """An op that is wrong before it touches an engine, with its code.
+
+    Raised by the op front ends (a script line that does not parse, a
+    wire request or log record whose fields are malformed) and by the
+    linter's abstract instance wherever the session would refuse the op.
+    ``code`` is a :data:`repro.analysis.diagnostics.CODES` key and
+    ``hint`` an optional suggested fix.
+    """
+
+    def __init__(self, code: str, message: str, hint: str = "") -> None:
+        super().__init__(message)
+        self.code = code
+        self.hint = hint
+
+
 class ScriptError(ReproError):
     """An op script (``repro session`` / ``repro db ingest``) failed.
 
@@ -121,7 +137,11 @@ class ScriptError(ReproError):
         from .analysis.diagnostics import Diagnostic
 
         return Diagnostic(
-            code=self.code, line=self.line, op=self.text, message=str(self.cause)
+            code=self.code,
+            line=self.line,
+            op=self.text,
+            message=str(self.cause),
+            hint=getattr(self.cause, "hint", ""),
         )
 
 
