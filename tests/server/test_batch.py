@@ -232,3 +232,35 @@ class TestBatchOverTcp:
             await server.stop()
 
         run(go())
+
+
+class TestWireOnlyRefusals:
+    """The log reads back a no-op ``update`` and a bool index (the
+    session journals both); a client sending either is still refused,
+    alone or in a batch, before any WAL byte moves."""
+
+    BAD = [
+        ({"do": "update", "index": 0, "set": {}}, "E_BAD_REQUEST"),
+        ({"do": "delete", "index": True}, "E_BAD_INT"),
+    ]
+
+    def test_single_requests_and_batches_are_refused(self, tmp_path):
+        async def go():
+            server = await _server(tmp_path)
+            await server.handle(
+                {"id": 1, "do": "insert", "rel": "emp", "row": ["ada", "eng", "k"]}
+            )
+            relation = server.db.relation("emp")
+            for op, code in self.BAD:
+                response = await server.handle({"id": 2, "rel": "emp", **op})
+                assert response["ok"] is False
+                response = await server.handle(
+                    {"id": 3, "do": "batch", "rel": "emp", "ops": [op]}
+                )
+                assert response["ok"] is False
+                (diagnostic,) = response["diagnostics"]
+                assert diagnostic["code"] == code
+            assert relation.seq == 1
+            await server.stop()
+
+        run(go())
