@@ -1,22 +1,20 @@
-"""Static analysis tour: lint op scripts before a single op runs.
+"""Lint tour: check an op script by a dry run before running it for real.
 
-``repro lint`` (backed by :mod:`repro.analysis`) interprets a session
-script over an *abstract* instance — constants and null-sharing tracked
-exactly, no engine, no side effects — and reports **every** wrong op in
-one pass, where execution would abort at the first:
+``repro lint`` (backed by :mod:`repro.analysis`) runs a session script
+on a scratch chase session, rolls it back, and reports **every** wrong
+op in one pass, where execution would abort at the first:
 
 * structural errors: unknown ops and attributes, wrong arity, indexes
-  that are provably out of bounds *at that point in the script*;
-* semantic errors: filling a cell that provably holds a constant,
-  rolling back without a snapshot, ``check`` on a provably poisoned
-  instance;
-* admissibility warnings by the paper's own oracle: an op whose
-  post-state chase derives NOTHING is provably inadmissible (Theorem
-  4(b) — the chase verdict *is* the weak-satisfiability verdict), and
-  the message names the FD forcing the conflict.
+  out of bounds *at that point in the script*;
+* semantic errors: filling a cell that holds a constant, rolling back
+  without a snapshot, ``check`` on a poisoned instance;
+* admissibility warnings by the paper's own oracle: an op after which
+  the chase derives NOTHING is inadmissible (Theorem 4(b) — the chase
+  verdict *is* the weak-satisfiability verdict), and the message names
+  the FD forcing the conflict.
 
 The same pass guards the server: a mutation batch with any lint error is
-refused before it consumes a group-commit slot or a WAL byte.  And the
+refused before any op runs or a WAL byte moves.  And the
 flip side of static checking is dynamic checking: ``REPRO_SANITIZE=1``
 (or ``ChaseSession(..., sanitize=True)``) arms an invariant sanitizer
 that audits the engine's internal mirrors (occurrence index, signature
@@ -42,7 +40,7 @@ BROKEN = [
     #                                    two mgr cells, knuth != turing
     "update 9 dept=ops",               # index 9 does not exist here
     "update 1 salary=120",             # unknown attribute
-    "fill 1 dept web",                 # dept provably holds a constant
+    "fill 1 dept web",                 # dept holds a constant
     "rollback",                        # no snapshot outstanding
 ]
 
@@ -71,7 +69,7 @@ session = ChaseSession(SCHEMA, FDS, sanitize=True)  # sanitizer armed
 run_script(_SessionTarget(session), CLEAN)
 print("lint-clean script executed without raising: True")
 
-# -- check on a provably poisoned state is a static error ------------------
+# -- check on a poisoned state is an error ---------------------------------
 
 POISONED = [
     "insert ada, eng, knuth",

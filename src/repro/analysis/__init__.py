@@ -1,15 +1,17 @@
-"""Static analysis over scripts, batches, and engine state.
+"""Analysis over scripts, batches, query plans, and engine state.
 
-Three coordinated passes, none of which executes user ops:
+Three coordinated passes and the diagnostic schema they share; no pass
+leaves a change behind:
 
 * :mod:`repro.analysis.check` — the ``repro lint`` checker: a whole
   session/db script or server batch analyzed against a schema + FD set,
   every finding a structured :class:`Diagnostic` (line, code, message,
   suggested fix) instead of a first-failure traceback mid-execution.
-  Scripts and batches share one interpreter: each front end reads its
-  syntax into the op records execution applies, and one loop applies
-  them to an abstract instance (:func:`lint_script`,
-  :func:`lint_requests`);
+  Scripts and batches share one loop: each front end reads its syntax
+  into the op records execution applies, and the loop dry-runs them on
+  a real chase session, then rolls it back (:func:`lint_script` on a
+  session seeded from the script's rows, :func:`lint_requests` on the
+  session the batch will meet);
 * :mod:`repro.analysis.diagnostics` — the diagnostic schema itself,
   shared verbatim by the CLI, runtime :class:`~repro.errors.ScriptError`
   reporting, and the server's batch fast-reject payload;

@@ -44,7 +44,6 @@ CODES: Dict[str, str] = {
     "E_BAD_ASSIGN": "update assignment is not ATTR=value",
     "E_DOMAIN": "constant is outside the attribute's declared finite domain",
     "E_FILL_CONST": "fill targets a cell that provably holds a constant",
-    "E_FILL_UNPROVEN": "fill targets a cell no longer statically known null",
     "E_ROLLBACK_UNDERFLOW": "rollback without a matching snapshot",
     "E_CHECKPOINT_SCOPE": "checkpoint is a durable-database op",
     "E_CHECKPOINT_HELD": "checkpoint while snapshots are outstanding",

@@ -86,7 +86,14 @@ def is_minimally_incomplete(
 
 def weakly_satisfiable(relation: Relation, fds: Iterable[FDInput]) -> bool:
     """Theorem 4(b): ``F`` is weakly satisfied in ``r`` iff the extended
-    chase fixpoint contains no *nothing* value."""
+    chase fixpoint contains no *nothing* value.
+
+    The verdict is over unbounded domains: a declared finite domain is
+    not consulted.  With ``K`` on {k1, k2}, ``K -> A`` and rows
+    (⊥, a1), (⊥, a2), (⊥, a3) this returns True, while no completion
+    inside ``K``'s domain satisfies the FD
+    (:func:`repro.core.satisfaction.weakly_satisfied` returns False).
+    """
     return not chase(relation, fds, mode=MODE_EXTENDED).has_nothing
 
 

@@ -946,7 +946,11 @@ class ChaseSession(SignatureChaseCore):
 
     @property
     def has_nothing(self) -> bool:
-        """Live Theorem 4(b) verdict: weak satisfiability fails iff True."""
+        """Live Theorem 4(b) verdict: weak satisfiability fails iff True.
+
+        Weak satisfiability over unbounded domains: a declared finite
+        domain is not consulted (see
+        :func:`repro.chase.minimal.weakly_satisfiable`)."""
         tags = self.tags
         for root, cells in self._occ.items():
             if cells and tags[root][0] == _TAG_NOTHING:

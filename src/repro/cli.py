@@ -634,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="statically analyze an op script without executing it "
+        help="check an op script by a dry run on a scratch session "
         "(exit 0 clean / 1 warnings / 2 errors)",
     )
     lint.add_argument("--data", help="CSV file with the initial instance")

@@ -38,7 +38,7 @@ import contextlib
 import re
 import shutil
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..chase.session import ChaseSession, SessionSnapshot
 from ..core.codec import (
@@ -144,8 +144,9 @@ class ManagedRelation:
         return self._checkpoint_seq
 
     @property
-    def outstanding_snapshots(self) -> int:
-        return len(self._snapshots)
+    def snapshots(self) -> Tuple[SessionSnapshot, ...]:
+        """The outstanding snapshot tokens, oldest first (a copy)."""
+        return tuple(self._snapshots)
 
     def encode_value(self, value: Any) -> Any:
         """Encode one cell in the relation's canonical wire/log form."""

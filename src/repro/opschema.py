@@ -19,8 +19,9 @@ log payload by :func:`repro.db.log.decode_op` and a wire request by
 records the log may hold but a client should not send).  One
 executor, :func:`apply_op`, then applies a mutation record to any target
 with the session's mutator names and a depth-returning snapshot stack:
-a :class:`repro.db.ManagedRelation`, a bare session behind
-:class:`SessionTarget`, or the linter's abstract instance.
+a :class:`repro.db.ManagedRelation`, or a bare session behind
+:class:`SessionTarget` (what a script, recovery and the linter's dry run
+drive).
 
 The module depends only on the leaf modules :mod:`repro.core.values` and
 :mod:`repro.errors`: the analysis layer imports it without touching the
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .core.values import null
-from .errors import OpError, ReproError
+from .errors import OpError
 
 #: script/CSV cell spellings that read as "a fresh null"
 NULL_TOKENS: Tuple[str, ...] = ("", "-", "NULL", "null")
@@ -315,7 +316,11 @@ class SessionTarget:
 
     def rollback(self) -> int:
         if not self.snapshots:
-            raise ReproError("rollback without a snapshot")
+            raise OpError(
+                "E_ROLLBACK_UNDERFLOW",
+                "rollback without a snapshot",
+                hint="every rollback needs an earlier unmatched snapshot",
+            )
         self.session.rollback(self.snapshots.pop())
         return len(self.snapshots) + 1
 

@@ -53,6 +53,14 @@ def _err(request_id: Any, message: str) -> dict:
     return {"id": request_id, "ok": False, "error": message}
 
 
+class _Refused(ReproError):
+    """A batch's admission step found error-severity diagnostics."""
+
+    def __init__(self, diagnostics: list) -> None:
+        super().__init__("batch refused by lint")
+        self.diagnostics = diagnostics
+
+
 class ReproServer:
     """The serving front end over one :class:`~repro.db.Database`."""
 
@@ -78,7 +86,7 @@ class ReproServer:
         self.db: Optional[Database] = None
         self._writers: Dict[str, RelationWriter] = {}
         self._catalog_lock: Optional["asyncio.Lock"] = None
-        self._tcp: Optional["asyncio.AbstractServer"] = None
+        self._tcp: Optional[protocol.Listener] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -95,11 +103,11 @@ class ReproServer:
             await self._start_writer(relation.name)
 
     async def stop(self) -> None:
-        """Drain every writer (queued ops apply and become durable),
-        close the TCP listener and the database."""
+        """Close the TCP front end (every request already read is
+        answered, then each connection closes), drain every writer
+        (queued ops apply and become durable), close the database."""
         if self._tcp is not None:
-            self._tcp.close()
-            await self._tcp.wait_closed()
+            await self._tcp.close()
             self._tcp = None
         for writer in self._writers.values():
             await writer.stop()
@@ -111,8 +119,7 @@ class ReproServer:
     async def listen(self, host: str = "127.0.0.1", port: int = 0) -> tuple:
         """Start the TCP front end; returns the bound ``(host, port)``."""
         self._tcp = await protocol.run_tcp(self, host, port)
-        bound = self._tcp.sockets[0].getsockname()
-        return bound[0], bound[1]
+        return self._tcp.address
 
     def _database(self) -> Database:
         """The open database, or a refusal — narrows ``Optional`` for
@@ -183,35 +190,43 @@ class ReproServer:
     ) -> dict:
         """Lint-gated contiguous application of several mutation ops.
 
-        The static pre-pass (:func:`protocol.lint_batch`) runs on the
-        event loop against the relation's current rows — exact, because
-        the writer applies an admitted batch as one queue item, so no op
-        can interleave and move the baseline.  A batch with any
-        error-severity finding is refused *here*: nothing is enqueued, no
-        group-commit slot is taken, no WAL byte is written.  Warnings
-        (e.g. a provable FD conflict, which executes but poisons) ride
-        along in the response either way.
+        The batch is decided in the writer's turn: its admission step
+        (:func:`protocol.lint_batch`) dry-runs the ops on the writer's
+        live session once every op queued ahead of the batch has
+        applied, so lint sees exactly the state the ops will meet.  A
+        batch with any error-severity finding is refused whole: no op
+        runs and no WAL byte is written.  An admitted batch applies
+        contiguously, with no other client's op in between, each op
+        decoded in the writer's turn.  Warnings (e.g. a provable FD
+        conflict, which executes but poisons) ride along in the response.
         """
         ops = request.get("ops")
         if not isinstance(ops, list) or not ops:
             raise ReproError("'batch' needs 'ops' (a non-empty array of ops)")
-        diagnostics = protocol.lint_batch(relation, ops)
-        payloads = [diagnostic.to_payload() for diagnostic in diagnostics]
-        if any(d.severity == "error" for d in diagnostics):
-            errors = sum(1 for d in diagnostics if d.severity == "error")
+        warnings: list = []
+
+        def admit() -> None:
+            diagnostics = protocol.lint_batch(relation, ops)
+            if any(d.severity == "error" for d in diagnostics):
+                raise _Refused(diagnostics)
+            warnings.extend(diagnostics)
+
+        def step(op: dict) -> Callable[[], Dict[str, Any]]:
+            return lambda: protocol.mutation(relation, op["do"], op)()
+
+        try:
+            outcomes = await writer.submit_many([admit, *map(step, ops)])
+        except _Refused as refusal:
+            errors = sum(1 for d in refusal.diagnostics if d.severity == "error")
             return {
                 "id": request_id,
                 "ok": False,
                 "error": f"batch refused by lint: {errors} error(s)",
-                "diagnostics": payloads,
+                "diagnostics": [d.to_payload() for d in refusal.diagnostics],
             }
-        apply_fns = [
-            protocol.mutation(relation, op.get("do"), op) for op in ops
-        ]
-        outcomes = await writer.submit_many(apply_fns)
         fields: Dict[str, Any] = {"results": outcomes}
-        if payloads:
-            fields["diagnostics"] = payloads  # warnings only, by now
+        if warnings:
+            fields["diagnostics"] = [d.to_payload() for d in warnings]
         return _ok(request_id, **fields)
 
     async def _create(self, request: dict, request_id: Any) -> dict:

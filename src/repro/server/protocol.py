@@ -41,7 +41,7 @@ import asyncio
 import itertools
 import json
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..api import WIRE_VERSION, Answer, ResultSet
 from ..core.values import Null, null
@@ -52,7 +52,7 @@ from ..errors import ReproError
 # the wire vocabulary is derived from the shared op table, so the CLI,
 # the linter, and the server agree on it by construction
 from ..opschema import MUTATION_VERBS, QUERY_VERB, READ_VERBS  # noqa: F401
-from ..opschema import apply_op
+from ..opschema import SessionTarget, apply_op
 
 
 def decode_cell(relation: ManagedRelation, token: Any) -> Any:
@@ -84,13 +84,26 @@ def mutation(
 
 
 def lint_batch(relation: ManagedRelation, requests: Any) -> list:
-    """Statically check a mutation batch against the relation's live state.
+    """Decide a mutation batch by a dry run on the relation's session.
 
-    The server's fast-reject pre-pass: no closure is built, nothing is
-    enqueued, no WAL byte moves.  Returns
-    :class:`repro.analysis.Diagnostic` findings — error severity means
-    the batch is provably doomed (the writer would fail the op at apply
-    time) and must be refused before it consumes a group-commit slot.
+    The server calls this as a batch's admission step, in the writer's
+    turn (:meth:`~repro.server.writer.RelationWriter.submit_many`): every
+    op queued ahead of the batch has applied, so the session is exactly
+    the state the batch will meet.  The ops run on the live session and
+    a copy of the relation's snapshot stack, with the journal hook
+    swapped for lint's probe; then the session is rolled back and the
+    hook restored — no record is journalled, and the session is left as
+    it was found.  Returns :class:`repro.analysis.Diagnostic` findings:
+    error severity means the writer would fail that op, and the batch is
+    refused whole.
+
+    Cost: inserts, single-column fills, snapshots and adopts are undone
+    by popping the session's trail, O(the work they caused).  An op that
+    rewinds, retires or rebuilds — a delete, update or replace, a
+    rollback, a reset — bumps the session's generation, and the undo
+    then becomes a level rebuild: one O(n) chase of the relation's rows
+    per batch.  Either way the undo bumps the generation, so a snapshot
+    taken before the batch later rolls back by a level rebuild too.
     """
     from ..analysis import lint_requests
 
@@ -99,8 +112,7 @@ def lint_batch(relation: ManagedRelation, requests: Any) -> list:
         session.schema,
         session.fds,
         requests,
-        rows=[row.values for row in session.rows],
-        snapshot_depth=relation.outstanding_snapshots,
+        target=SessionTarget(session, list(relation.snapshots)),
         known_null=relation.knows_null,
         decode=relation.decode_value,
     )
@@ -119,7 +131,7 @@ LINE_LIMIT = 64 * 1024
 CLIENT_LINE_LIMIT = 64 * 1024 * 1024
 
 
-async def run_tcp(server: Any, host: str, port: int) -> "asyncio.AbstractServer":
+async def run_tcp(server: Any, host: str, port: int) -> "Listener":
     """Bind ``server.handle`` to a TCP listener (JSON lines, pipelined).
 
     Each request line becomes its own task, so a slow detached read never
@@ -129,10 +141,16 @@ async def run_tcp(server: Any, host: str, port: int) -> "asyncio.AbstractServer"
     still answer, then one ``E_LINE_TOO_LONG`` refusal (``id: null``)
     goes out and the server closes.
     """
+    #: each live connection's handler task → its reader and transport
+    connections: Dict["asyncio.Task[None]", tuple] = {}
 
     async def on_connection(
         reader: asyncio.StreamReader, writer_stream: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        assert handler is not None
+        connections[handler] = (reader, writer_stream.transport)
+        handler.add_done_callback(connections.pop)
         write_lock = asyncio.Lock()
         in_flight: Set["asyncio.Task[None]"] = set()
 
@@ -197,7 +215,38 @@ async def run_tcp(server: Any, host: str, port: int) -> "asyncio.AbstractServer"
         except ConnectionError:  # pragma: no cover - racing disconnect
             pass
 
-    return await asyncio.start_server(on_connection, host, port, limit=LINE_LIMIT)
+    tcp = await asyncio.start_server(on_connection, host, port, limit=LINE_LIMIT)
+    return Listener(tcp, connections)
+
+
+class Listener:
+    """A running :func:`run_tcp` front end."""
+
+    def __init__(
+        self, tcp: "asyncio.AbstractServer", connections: Dict[Any, tuple]
+    ) -> None:
+        self.tcp = tcp
+        self._connections = connections
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        host, port = self.tcp.sockets[0].getsockname()[:2]
+        return host, port
+
+    async def close(self) -> None:
+        """Accept and read nothing more, answer every request already
+        read, then close each connection.
+
+        A request line the server has received still runs, and its
+        answer is written before its connection closes; a client's next
+        call then fails with "connection closed".
+        """
+        self.tcp.close()
+        for reader, transport in self._connections.values():
+            transport.pause_reading()
+            reader.feed_eof()  # the handler answers what it read, then closes
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        await self.tcp.wait_closed()
 
 
 class Client:
@@ -302,8 +351,8 @@ class Client:
                 future = self._waiting.pop(response.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(response)
-        except (ConnectionError, asyncio.CancelledError):
-            raise
+        except ConnectionError:
+            pass  # a reset ends the stream as EOF does
         finally:
             for future in self._waiting.values():
                 if not future.done():

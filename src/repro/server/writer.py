@@ -48,16 +48,22 @@ class _Checkpoint:
 
 
 class _Batch:
-    """Queue marker bundling several op closures into ONE queue item.
+    """Queue marker bundling an admission step and several op closures
+    into ONE queue item.
 
-    The writer applies the bundle contiguously — no op from another
-    client can interleave — which is what makes the batch linter's
-    admission-time index bounds exact.
+    The writer runs the admission step in its own turn, when every op
+    queued ahead of the bundle has applied: the step sees exactly the
+    state the ops will meet.  If it raises, the bundle is refused whole
+    and no op runs; otherwise the ops apply contiguously, with no op
+    from another client in between.
     """
 
-    __slots__ = ("apply_fns",)
+    __slots__ = ("admit", "apply_fns")
 
-    def __init__(self, apply_fns: List[Callable[[], Any]]) -> None:
+    def __init__(
+        self, admit: Callable[[], Any], apply_fns: List[Callable[[], Any]]
+    ) -> None:
+        self.admit = admit
         self.apply_fns = apply_fns
 
 
@@ -111,16 +117,20 @@ class RelationWriter:
         return await future
 
     async def submit_many(self, apply_fns: List[Callable[[], Any]]) -> List[dict]:
-        """Run several mutation closures contiguously (one queue item).
+        """Run an admission step, then mutation closures contiguously
+        (one queue item).
 
-        Returns one outcome object per closure (``{"ok": True, ...}``
-        with the op's response fields, or ``{"ok": False, "error": ...}``),
-        resolved only after the last record the batch journalled is
-        durable — the committer acks staged records in order, so the last
-        record's durability covers the whole batch.
+        The first closure is the admission step (see :class:`_Batch`):
+        whatever it raises is raised here, and then no other closure has
+        run.  Otherwise returns one outcome object per remaining closure
+        (``{"ok": True, ...}`` with the op's response fields, or ``{"ok":
+        False, "error": ...}``), resolved only after the last record the
+        batch journalled is durable — the committer acks staged records
+        in order, so the last record's durability covers the whole batch.
         """
+        admit, *ops = apply_fns
         future = asyncio.get_running_loop().create_future()
-        await self._queue.put((_Batch(list(apply_fns)), future))
+        await self._queue.put((_Batch(admit, ops), future))
         return await future
 
     async def checkpoint(self) -> Any:
@@ -201,16 +211,24 @@ class RelationWriter:
     def _apply_batch(
         self, batch: _Batch, future: "asyncio.Future[Any]"
     ) -> None:
-        """Apply a bundle contiguously; one ack covers every outcome.
+        """Admit a bundle, then apply it contiguously; one ack covers
+        every outcome.
 
-        A failing op is recorded in its outcome slot and the bundle
-        continues — per-op atomicity, exactly as if the ops had been
-        submitted singly, just without interleaving.
+        A refused bundle fails its future with the admission step's
+        error, before any op runs.  A failing op is recorded in its
+        outcome slot and the bundle continues — per-op atomicity, exactly
+        as if the ops had been submitted singly, just without
+        interleaving.
         """
         if future.done():
             return
         if self.committer.failed is not None:
             self._refuse(future)
+            return
+        try:
+            batch.admit()
+        except Exception as error:
+            future.set_exception(error)
             return
         outcomes: List[dict] = []
         staged: Optional["asyncio.Future[Any]"] = None
@@ -275,7 +293,7 @@ class RelationWriter:
         )
         if not due and self.checkpoint_wal_ops is not None:
             due = wal_ops >= self.checkpoint_wal_ops
-        if not due or relation.outstanding_snapshots:
+        if not due or relation.snapshots:
             # an outstanding snapshot blocks checkpointing (by design);
             # retry once it is rolled back or discarded
             return

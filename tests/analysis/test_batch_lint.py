@@ -6,12 +6,21 @@ tokens — and its diagnostics use 0-based request positions as ``line``.
 """
 
 from repro.analysis import BATCH_VERBS, has_errors, lint_requests
+from repro.chase.session import ChaseSession
 from repro.core.schema import Domain, RelationSchema
 from repro.core.values import null
+from repro.opschema import SessionTarget
 from repro.server import protocol
 
 SCHEMA = RelationSchema("R", "A B C")
 FDS = ["A -> B"]
+
+
+def seeded(rows, snapshots=0):
+    """The target a batch meets: a session over ``rows`` holding
+    ``snapshots`` outstanding snapshots."""
+    session = ChaseSession(SCHEMA, FDS, rows)
+    return SessionTarget(session, [session.snapshot() for _ in range(snapshots)])
 
 
 def codes(requests, **kwargs):
@@ -46,12 +55,12 @@ class TestCleanBatches:
             {"do": "insert", "row": ["a1", "b1", "c1"]},
             {"do": "delete", "index": 0},
         ]
-        assert lint_requests(SCHEMA, FDS, requests, rows=[]) == []
+        assert lint_requests(SCHEMA, FDS, requests, target=seeded([])) == []
 
     def test_live_rows_seed_the_baseline(self):
         requests = [{"do": "delete", "index": 1}]
-        assert codes(requests, rows=[["a", "b", "c"], ["d", "e", "f"]]) == []
-        assert codes(requests, rows=[["a", "b", "c"]]) == [("E_BAD_INDEX", 0)]
+        assert codes(requests, target=seeded([["a", "b", "c"], ["d", "e", "f"]])) == []
+        assert codes(requests, target=seeded([["a", "b", "c"]])) == [("E_BAD_INDEX", 0)]
 
 
 class TestBatchDiagnostics:
@@ -116,23 +125,12 @@ class TestBatchDiagnostics:
 
     def test_rollback_underflow_and_snapshot_depth(self):
         assert codes([{"do": "rollback"}]) == [("E_ROLLBACK_UNDERFLOW", 0)]
-        assert codes([{"do": "rollback"}], snapshot_depth=1) == []
-
-    def test_rollback_to_preexisting_snapshot_goes_opaque(self):
-        # the pre-existing snapshot's rows were never seen statically, so
-        # bounds after the rollback are unknowable — only provably-bad
-        # negatives are flagged
-        requests = [
-            {"do": "rollback"},
-            {"do": "delete", "index": 5},
-            {"do": "delete", "index": -1},
-        ]
-        assert codes(requests, snapshot_depth=1) == [("E_BAD_INDEX", 2)]
+        assert codes([{"do": "rollback"}], target=seeded([], snapshots=1)) == []
 
     def test_fill_on_constant(self):
         requests = [{"do": "fill", "index": 0, "attr": "B", "value": "b9"}]
-        assert codes(requests, rows=[["a", "b", "c"]]) == [("E_FILL_CONST", 0)]
+        assert codes(requests, target=seeded([["a", "b", "c"]])) == [("E_FILL_CONST", 0)]
 
     def test_fill_on_live_null_is_clean(self):
         requests = [{"do": "fill", "index": 0, "attr": "B", "value": "b9"}]
-        assert codes(requests, rows=[["a", null(), "c"]]) == []
+        assert codes(requests, target=seeded([["a", null(), "c"]])) == []

@@ -7,6 +7,7 @@ exercised at least once, with its 1-based line number pinned.
 
 from repro.analysis import Diagnostic, has_errors, lint_script, render_report
 from repro.core.schema import Domain, RelationSchema
+from repro.core.values import NOTHING
 
 SCHEMA = RelationSchema("R", "A B C")
 FDS = ["A -> B"]
@@ -80,8 +81,11 @@ class TestEveryDiagnosticCode:
         ]
 
     def test_fill_unproven_after_adopt(self):
-        script = ["insert a, -, -", "adopt", "fill 0 B b1"]
-        assert findings(script) == [("E_FILL_UNPROVEN", 3)]
+        # exact past an adopt: the fill is clean while the cell is still
+        # null, and targets a constant once the adopt committed one there
+        assert findings(["insert a, -, -", "adopt", "fill 0 B b1"]) == []
+        script = ["insert a, b1, c", "insert a, -, -", "adopt", "fill 1 B b2"]
+        assert findings(script) == [("E_FILL_CONST", 4)]
 
     def test_rollback_underflow(self):
         assert findings(["rollback"]) == [("E_ROLLBACK_UNDERFLOW", 1)]
@@ -113,6 +117,30 @@ class TestEveryDiagnosticCode:
             ("E_FD_CONFLICT", 3, "error"),
         ]
         assert has_errors(diagnostics)
+
+
+class TestPoisonedStates:
+    def test_nothing_seed_row_fails_check(self):
+        rows = [["a", NOTHING, "c"]]
+        diagnostics = lint_script(SCHEMA, [], ["check"], rows=rows)
+        assert [(d.code, d.line, d.severity) for d in diagnostics] == [
+            ("E_FD_CONFLICT", 1, "error")
+        ]
+
+    def test_check_after_adopt_on_a_poisoned_instance(self):
+        # adopt writes NOTHING into the rows; the update keeps it there
+        script = [
+            "insert b2, a1, b2",
+            "insert b2, c1, b1",
+            "adopt",
+            "update 1 A=a1",
+            "check",
+        ]
+        diagnostics = lint_script(SCHEMA, ["A -> B", "B -> C"], script)
+        assert [(d.code, d.line, d.severity) for d in diagnostics] == [
+            ("E_FD_CONFLICT", 2, "warning"),
+            ("E_FD_CONFLICT", 5, "error"),
+        ]
 
 
 class TestConflictWitness:

@@ -6,13 +6,6 @@ poisons rather than raising.)  The generator emits both well-formed and
 deliberately broken ops — out-of-range indexes, wrong arity, unknown
 attributes — so both sides of the guarantee get traffic: clean scripts
 must run, and scripts that fail at runtime must have been flagged.
-
-One precision limit is encoded in the generator: after an ``adopt`` the
-abstract state is inexact (which nulls the chase grounded is a fixpoint
-property), so the linter can no longer *prove* poisoning and a ``check``
-op may pass lint yet raise at runtime.  The generator therefore stops
-emitting ``check`` once it has emitted an ``adopt`` — exactly the
-boundary the checker documents.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -69,19 +62,8 @@ def op_lines(draw):
     return kind
 
 
-@st.composite
-def scripts(draw):
-    lines = draw(st.lists(op_lines(), min_size=1, max_size=12))
-    # the documented precision boundary: no check after an adopt
-    seen_adopt = False
-    kept = []
-    for line in lines:
-        if line == "adopt":
-            seen_adopt = True
-        if line == "check" and seen_adopt:
-            continue
-        kept.append(line)
-    return kept
+def scripts():
+    return st.lists(op_lines(), min_size=1, max_size=12)
 
 
 @settings(max_examples=120, deadline=None)

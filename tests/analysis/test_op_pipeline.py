@@ -1,4 +1,4 @@
-"""Scripts, batches and execution share one op interpreter.
+"""Scripts, batches and execution share one op pipeline.
 
 Two properties pin it:
 
@@ -7,15 +7,12 @@ Two properties pin it:
   position, severity) list (script line = request index + 1).  Fill
   values are constants, and only the ops both syntaxes have are drawn.
   It holds on an empty relation and over seed rows that share nulls,
-  linted the way the server lints a batch (the relation's rows, its
-  codec's ``decode`` and ``knows``);
+  linted the way the server lints a batch (a session over the
+  relation's rows, its codec's ``decode`` and ``knows``);
 * **lint ↔ execution** — on the lint-property generator, a script that
   raises at runtime at line L with code C has its *first* error-severity
   finding at line L with code C: lint and execution name the same
-  failure.  The exception is a first finding of ``E_FILL_UNPROVEN``: an
-  ``adopt`` turns nulls into cells lint cannot see, so a later fill of
-  one may run or fail (the same precision boundary that keeps the
-  generator from emitting ``check`` after ``adopt``).
+  failure.
 """
 
 import pytest
@@ -164,7 +161,7 @@ def test_script_and_batch_lint_identically_over_seed_rows_sharing_nulls(
             schema,
             FDS,
             as_batch(sequence),
-            rows=rows,
+            target=_SessionTarget(ChaseSession(schema, FDS, rows)),
             known_null=codec.knows,
             decode=codec.decode,
         )
@@ -190,7 +187,7 @@ def test_a_fill_substitutes_a_seeded_shared_null_everywhere():
             {"do": "fill", "index": 0, "attr": "B", "value": "b1"},
             {"do": "fill", "index": 1, "attr": "B", "value": {"n": codec.id_of(shared)}},
         ],
-        rows=rows,
+        target=_SessionTarget(ChaseSession(SCHEMAS[0], [], rows)),
         known_null=codec.knows,
         decode=codec.decode,
     )
@@ -222,12 +219,7 @@ def test_lint_names_the_line_and_code_execution_fails_with(script):
     failure = runtime_failure(script)
     if failure is None:
         return
-    first = first_error(script)
-    if first is not None and first[1] == "E_FILL_UNPROVEN":
-        # the one error lint cannot prove: past an adopt a fill target
-        # may or may not still be null, so the fill may run or fail
-        return
-    assert first == failure
+    assert first_error(script) == failure
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """The ``batch`` verb: lint-gated contiguous mutation bundles.
 
-The acceptance property this file pins: a batch with any error-severity
-lint finding is refused *before* any WAL byte is written — no
-group-commit slot, no journal append, no session mutation.
+The acceptance properties this file pins: a batch with any
+error-severity lint finding is refused *before* any WAL byte is written
+— no group-commit slot, no journal append, no session mutation — and a
+batch is decided against the state it will meet, after every op queued
+ahead of it.
 """
 
 import asyncio
@@ -200,6 +202,107 @@ class TestRefusedBatches:
             )
             assert refused["ok"] is False
             assert refused["diagnostics"][0]["code"] == "E_ROLLBACK_UNDERFLOW"
+            await server.stop()
+
+        run(go())
+
+
+class TestDecidedInTheWritersTurn:
+    """A batch pipelined behind single ops is linted after they apply."""
+
+    def test_batch_sees_the_insert_queued_ahead_of_it(self, tmp_path):
+        async def go():
+            server = await _server(tmp_path)
+            insert, batch = await asyncio.gather(
+                server.handle(
+                    {"id": 1, "do": "insert", "rel": "emp", "row": ["ada", "eng", "k"]}
+                ),
+                server.handle(
+                    {
+                        "id": 2,
+                        "do": "batch",
+                        "rel": "emp",
+                        "ops": [{"do": "delete", "index": 0}],
+                    }
+                ),
+            )
+            assert insert["ok"] is True and insert["seq"] == 1
+            assert batch["ok"] is True, batch
+            assert batch["results"] == [{"ok": True, "seq": 2}]
+            rows = await server.handle({"id": 3, "do": "rows", "rel": "emp"})
+            assert rows["rows"] == []
+            await server.stop()
+
+        run(go())
+
+    def test_batch_is_refused_after_the_delete_queued_ahead_of_it(self, tmp_path):
+        insert = {"do": "insert", "rel": "emp", "row": ["ada", "eng", "k"]}
+        delete = {"do": "delete", "rel": "emp", "index": 0}
+
+        async def go(path, batched):
+            server = await _server(path)
+            await server.handle({"id": 1, **insert})
+            requests = [server.handle({"id": 2, **delete})]
+            if batched:
+                requests.append(
+                    server.handle(
+                        {
+                            "id": 3,
+                            "do": "batch",
+                            "rel": "emp",
+                            "ops": [{"do": "delete", "index": 0}],
+                        }
+                    )
+                )
+            responses = await asyncio.gather(*requests)
+            wal = server.db.relation("emp").wal.path.read_bytes()
+            await server.stop()
+            return responses, wal
+
+        (deleted, refused), wal = run(go(tmp_path / "batched", True))
+        assert deleted["ok"] is True
+        assert refused["ok"] is False
+        assert [(d["code"], d["line"]) for d in refused["diagnostics"]] == [
+            ("E_BAD_INDEX", 0)
+        ]
+        # the journal is what it would be had the batch never been sent
+        _, reference = run(go(tmp_path / "reference", False))
+        assert wal == reference
+
+    def test_rollback_to_an_older_snapshot_is_exact(self, tmp_path):
+        async def go():
+            server = await _server(tmp_path)
+            for i, name in enumerate(["ada", "bob", "cyd"]):
+                await server.handle(
+                    {"id": i, "do": "insert", "rel": "emp", "row": [name, "eng", "k"]}
+                )
+            await server.handle({"id": 3, "do": "snapshot", "rel": "emp"})
+            await server.handle({"id": 4, "do": "delete", "rel": "emp", "index": 0})
+            # the rollback restores three rows: index 3 is out of bounds...
+            refused = await server.handle(
+                {
+                    "id": 5,
+                    "do": "batch",
+                    "rel": "emp",
+                    "ops": [{"do": "rollback"}, {"do": "delete", "index": 3}],
+                }
+            )
+            assert refused["ok"] is False
+            assert [(d["code"], d["line"]) for d in refused["diagnostics"]] == [
+                ("E_BAD_INDEX", 1)
+            ]
+            # ...and index 2, a row only the rollback brings back, is not
+            admitted = await server.handle(
+                {
+                    "id": 6,
+                    "do": "batch",
+                    "rel": "emp",
+                    "ops": [{"do": "rollback"}, {"do": "delete", "index": 2}],
+                }
+            )
+            assert [o["ok"] for o in admitted["results"]] == [True, True]
+            rows = await server.handle({"id": 7, "do": "rows", "rel": "emp"})
+            assert [row[0] for row in rows["rows"]] == ["ada", "bob"]
             await server.stop()
 
         run(go())
