@@ -23,7 +23,8 @@ attribute's declared domain.  A wrong op reports its first finding, in
 the session's order (index bounds, then attributes and arity, then
 cells and domain), and is skipped, as the writer skips it.  When the
 loop ends the session is rolled back to where it started and its hook
-restored.
+restored; its op counters, and its cut when the undo was a pure trail
+pop, read as before (:meth:`~repro.chase.session.ChaseSession.dry_run`).
 
 Admissibility is the session's own verdict: an op after which
 :attr:`~repro.chase.session.ChaseSession.has_nothing` turns true is
@@ -162,61 +163,61 @@ def _lint(
     target: SessionTarget, ops: Iterable[_Op], durable: bool
 ) -> List[Diagnostic]:
     """The one loop: each op is read into a record and dry-run on
-    ``target``, whose session is rolled back to where it started."""
+    ``target``, whose session is then rolled back to where it started
+    (:meth:`~repro.chase.session.ChaseSession.dry_run`)."""
     session = target.session
     schema = session.schema
     diagnostics: List[Diagnostic] = []
     hook = session.on_op
-    start = session.snapshot()
     session.on_op = _probe(schema)
     try:
-        poisoned = session.has_nothing
-        for line, text, read in ops:
-            try:
-                record = read()
-                if record[0] in MUTATION_VERBS:
-                    apply_op(target, record)
-                elif record[0] == "check":
-                    target.check(convention=record[1])
-                elif record[0] == "checkpoint":
-                    require_durable(durable)
-                    if target.snapshots:
-                        raise OpError(
-                            "E_CHECKPOINT_HELD",
-                            f"checkpoint with {len(target.snapshots)} "
-                            "outstanding snapshot(s); roll back (or discard) "
-                            "first",
+        with session.dry_run():
+            poisoned = session.has_nothing
+            for line, text, read in ops:
+                try:
+                    record = read()
+                    if record[0] in MUTATION_VERBS:
+                        apply_op(target, record)
+                    elif record[0] == "check":
+                        target.check(convention=record[1])
+                    elif record[0] == "checkpoint":
+                        require_durable(durable)
+                        if target.snapshots:
+                            raise OpError(
+                                "E_CHECKPOINT_HELD",
+                                f"checkpoint with {len(target.snapshots)} "
+                                "outstanding snapshot(s); roll back (or discard) "
+                                "first",
+                            )
+                except ReproError as error:
+                    code = classify_cause(error)
+                    hint = getattr(error, "hint", "")
+                    if not hint and code == "E_UNKNOWN_ATTR":
+                        hint = f"scheme attributes: {' '.join(schema.attributes)}"
+                    diagnostics.append(
+                        Diagnostic(
+                            code=code, line=line, op=text, message=str(error), hint=hint
                         )
-            except ReproError as error:
-                code = classify_cause(error)
-                hint = getattr(error, "hint", "")
-                if not hint and code == "E_UNKNOWN_ATTR":
-                    hint = f"scheme attributes: {' '.join(schema.attributes)}"
-                diagnostics.append(
-                    Diagnostic(
-                        code=code, line=line, op=text, message=str(error), hint=hint
                     )
-                )
-                continue
-            was_poisoned, poisoned = poisoned, session.has_nothing
-            if poisoned and not was_poisoned:
-                rows = [row.values for row in session.rows]
-                diagnostics.append(
-                    Diagnostic(
-                        code="E_FD_CONFLICT",
-                        line=line,
-                        op=text,
-                        message=_witness(schema, session.fds, rows)
-                        or "the chase of the instance after this op derives "
-                        "NOTHING (weak satisfiability provably fails)",
-                        hint="the op executes but poisons the state; rollback "
-                        "or rewrite it",
-                        severity="warning",
+                    continue
+                was_poisoned, poisoned = poisoned, session.has_nothing
+                if poisoned and not was_poisoned:
+                    rows = [row.values for row in session.rows]
+                    diagnostics.append(
+                        Diagnostic(
+                            code="E_FD_CONFLICT",
+                            line=line,
+                            op=text,
+                            message=_witness(schema, session.fds, rows)
+                            or "the chase of the instance after this op derives "
+                            "NOTHING (weak satisfiability provably fails)",
+                            hint="the op executes but poisons the state; rollback "
+                            "or rewrite it",
+                            severity="warning",
+                        )
                     )
-                )
     finally:
         session.on_op = hook
-        session.rollback(start)
     return diagnostics
 
 

@@ -490,9 +490,11 @@ def audit_evaluator(
     * every null any row condition references was registered at
       construction, with an enumeration domain — a condition over an
       unregistered null could never be ground, so its truth was
-      made up.
+      made up;
+    * every row's carried Kleene value is its condition's — a value
+      drifted while the row was built would tag it wrongly.
     """
-    from ..query.conditions import nulls_of
+    from ..query.conditions import kleene, nulls_of
     from ..query.evaluate import _row_key
 
     seen: Set[Tuple[Any, ...]] = set()
@@ -511,6 +513,12 @@ def audit_evaluator(
                 f"{_sample([key])}",
             )
         seen.add(key)
+        if crow.truth is not kleene(crow.cond):
+            _fail(
+                "evaluator",
+                f"conditional row carries {crow.truth!r} but its "
+                f"condition's Kleene value is {kleene(crow.cond)!r}",
+            )
         for null_obj in nulls_of(crow.cond):
             if id(null_obj) not in evaluator._nulls:
                 _fail(

@@ -68,8 +68,20 @@ session's worklist core.
 from __future__ import annotations
 
 import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..api import TAG_CERTAIN, Answer, provenance_of
 from ..core.fd import FDInput, as_fd
@@ -295,6 +307,18 @@ class ChaseSession(SignatureChaseCore):
 
     def __len__(self) -> int:
         return len(self._raw_rows)
+
+    @property
+    def cut(self) -> Tuple[int, int]:
+        """Where the session stands, as ``(generation, trail length)``.
+
+        Every change of state moves it: an op that changes the session
+        appends to the trail, and a rewind, an in-place retirement or a
+        rebuild bumps the generation.  Two reads at one cut therefore see
+        one state — the key :class:`ReadLease` freshness and the server's
+        read views are checked against.
+        """
+        return (self._gen, len(self._trail))
 
     # -- op records (the durable layer's write-ahead hook) -----------------
 
@@ -807,6 +831,34 @@ class ChaseSession(SignatureChaseCore):
         else:
             self._rebuild(list(token.rows))
 
+    @contextmanager
+    def dry_run(self) -> Iterator[None]:
+        """Run a block of ops, then undo it as if it never ran.
+
+        On exit the session rolls back to where the block started, and
+        :meth:`stats` forgets the block's op outcomes and its undo.  When
+        the undo is a pure trail pop (nothing in the block rewound), the
+        trail is again exactly what it was, so the generation and the
+        rewrite guard are restored too: :attr:`cut` reads as before, and
+        leases and snapshots taken before the block stay fast.  That is
+        sound only because no lease or snapshot taken *inside* the block
+        outlives it — the caller must not let one escape.  A block that
+        rewound keeps its generation bump, and its undo is a level
+        rebuild.
+        """
+        counters = dict(self._stats)
+        ratchet = self._ratchet_mark
+        start = self.snapshot()
+        try:
+            yield
+        finally:
+            popped = start.gen == self._gen and start.mark <= len(self._trail)
+            self.rollback(start)
+            if popped:
+                self._gen = start.gen
+                self._ratchet_mark = ratchet
+            self._stats.update(counters)
+
     # -- trail machinery ---------------------------------------------------
 
     def _undo_to(self, mark: int, apps: int) -> None:
@@ -1021,8 +1073,8 @@ class ReadLease:
     the state as of the cut.  Reads then take one of two paths:
 
     * **live** — while the source session is provably unchanged (its
-      rewind generation and trail length still match the cut; every
-      session mutation moves at least one of them), reads delegate
+      :attr:`~ChaseSession.cut` still equals the lease's :attr:`cut`;
+      every session mutation moves it), reads delegate
       straight to the live session: no copy, no re-chase.  Only valid
       where nothing can mutate the session mid-read (the server reads
       live only on its event loop, between ops).
@@ -1037,7 +1089,7 @@ class ReadLease:
       cut.
     """
 
-    __slots__ = ("rows", "_session", "_schema", "_fds", "_mark", "_detached")
+    __slots__ = ("rows", "cut", "_session", "_schema", "_fds", "_detached")
 
     def __init__(self, session: ChaseSession) -> None:
         self._session = session
@@ -1046,17 +1098,14 @@ class ReadLease:
         #: the frozen raw rows at the cut (shared Row objects, never
         #: mutated in place by the session — rewrites replace rows)
         self.rows: Tuple[Row, ...] = tuple(session._raw_rows)
-        self._mark = (session._gen, len(session._trail))
+        #: the source session's :attr:`~ChaseSession.cut` when leased
+        self.cut: Tuple[int, int] = session.cut
         self._detached: Optional[ChaseSession] = None
 
     @property
     def fresh(self) -> bool:
         """True while the source session still *is* the cut."""
-        session = self._session
-        return (
-            self._detached is None
-            and (session._gen, len(session._trail)) == self._mark
-        )
+        return self._detached is None and self._session.cut == self.cut
 
     def instance(self, detached: bool = False) -> ChaseSession:
         """The session to read from: the live source while :attr:`fresh`

@@ -52,10 +52,6 @@ TRUE = TruthValue.TRUE
 FALSE = TruthValue.FALSE
 UNKNOWN = TruthValue.UNKNOWN
 
-#: Kleene ordering used by ``and_``/``or_``: FALSE < UNKNOWN < TRUE.
-_KLEENE_RANK = {TruthValue.FALSE: 0, TruthValue.UNKNOWN: 1, TruthValue.TRUE: 2}
-
-
 def not_(value: TruthValue) -> TruthValue:
     """Kleene negation (System C evaluation rule 3)."""
     if value is TruthValue.TRUE:
@@ -68,24 +64,34 @@ def not_(value: TruthValue) -> TruthValue:
 def and_(*values: TruthValue) -> TruthValue:
     """Kleene conjunction: the minimum in the order FALSE < UNKNOWN < TRUE.
 
-    ``and_()`` of no arguments is TRUE (empty conjunction).
+    ``and_()`` of no arguments is TRUE (empty conjunction).  Decided by
+    identity: the first FALSE returns at once.
     """
     result = TruthValue.TRUE
     for value in values:
-        if _KLEENE_RANK[value] < _KLEENE_RANK[result]:
+        if value is TruthValue.FALSE:
+            return value
+        if value is TruthValue.UNKNOWN:
             result = value
+        elif value is not TruthValue.TRUE:
+            raise TypeError(f"not a truth value: {value!r}")
     return result
 
 
 def or_(*values: TruthValue) -> TruthValue:
     """Kleene disjunction: the maximum in the order FALSE < UNKNOWN < TRUE.
 
-    ``or_()`` of no arguments is FALSE (empty disjunction).
+    ``or_()`` of no arguments is FALSE (empty disjunction).  Decided by
+    identity: the first TRUE returns at once.
     """
     result = TruthValue.FALSE
     for value in values:
-        if _KLEENE_RANK[value] > _KLEENE_RANK[result]:
+        if value is TruthValue.TRUE:
+            return value
+        if value is TruthValue.UNKNOWN:
             result = value
+        elif value is not TruthValue.FALSE:
+            raise TypeError(f"not a truth value: {value!r}")
     return result
 
 

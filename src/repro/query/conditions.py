@@ -17,6 +17,8 @@ Two evaluations are provided, mirroring :mod:`repro.nullsem.queries`:
   two-valued evaluations over every grounding of the nulls the
   condition references, each null ranging over its (finite) domain.
   Exponential only in the *referenced* nulls, never in the instance.
+  :func:`grounded_truth` is its grounding half, for a caller that
+  already holds the condition's Kleene value and found it unknown.
 
 Groundings respect null identity: one choice per distinct null object,
 wherever it occurs — which is exactly how shared nulls equate across a
@@ -118,17 +120,21 @@ def neg(operand: Cond) -> Cond:
     return Neg(operand)
 
 
+def eq_truth(first: Any, second: Any) -> TruthValue:
+    """The Kleene value of the atom ``first = second``."""
+    if first is second:
+        return TRUE  # same constant or the *same* unknown
+    if is_null(first) or is_null(second):
+        return UNKNOWN
+    return from_bool(first == second)
+
+
 def kleene(cond: Cond) -> TruthValue:
     """Truth-functional three-valued evaluation of a condition."""
     if isinstance(cond, TrueCond):
         return TRUE
     if isinstance(cond, EqV):
-        first, second = cond.first, cond.second
-        if first is second:
-            return TRUE  # same constant or the *same* unknown
-        if is_null(first) or is_null(second):
-            return UNKNOWN
-        return from_bool(first == second)
+        return eq_truth(cond.first, cond.second)
     if isinstance(cond, Neg):
         return not_(kleene(cond.operand))
     if isinstance(cond, All):
@@ -235,9 +241,18 @@ def least_truth(
     quick = kleene(cond)
     if quick is not UNKNOWN:
         return quick
-    nulls = nulls_of(cond)
+    return grounded_truth(cond, domains, limit=limit)
+
+
+def grounded_truth(
+    cond: Cond,
+    domains: Mapping[int, Sequence[Any]],
+    limit: int = 200_000,
+) -> TruthValue:
+    """The lub over every grounding of the nulls ``cond`` references:
+    :func:`least_truth` without its Kleene fast path."""
     saw_true = saw_false = False
-    for binding in groundings(nulls, domains, limit=limit):
+    for binding in groundings(nulls_of(cond), domains, limit=limit):
         if evaluate_ground(cond, binding):
             saw_true = True
         else:
@@ -248,6 +263,6 @@ def least_truth(
         return TRUE
     if saw_false and not saw_true:
         return FALSE
-    # no grounding at all can only happen with zero referenced nulls,
-    # which the Kleene fast path already decided
+    # unreachable: groundings() yields at least one binding (the empty
+    # one for a null-free condition) or raises on an empty pool
     return UNKNOWN  # pragma: no cover

@@ -12,6 +12,11 @@ same :class:`~repro.core.values.Null` object scanned from two relations
 is one unknown, so a shared null equates across a join exactly as the
 chase's substitution machinery would force it to.
 
+Every row also carries its condition's Kleene value, computed once when
+the row is built from the values of its parts (a join's value is the
+conjunction of its two rows' values and its new equality atoms), so no
+operator re-evaluates a whole condition tree.
+
 A finished row is then tagged by the truth of its condition:
 
 * ``TRUE`` → a **certain** answer (in the result under every
@@ -36,7 +41,6 @@ completion enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -51,8 +55,8 @@ from typing import (
 from ..api import TAG_CERTAIN, TAG_MAYBE, Answer, ResultSet
 from ..core.domain import Domain
 from ..core.relation import Relation
-from ..core.truth import FALSE, TRUE, UNKNOWN
-from ..core.values import NOTHING, Null, is_null
+from ..core.truth import FALSE, TRUE, UNKNOWN, TruthValue, and_, not_, or_
+from ..core.values import Null, is_null
 from ..errors import InconsistentInstanceError
 from ..nullsem.queries import AndP, AttrEq, Eq, In, NotP, OrP, Pred
 from .algebra import (
@@ -74,7 +78,9 @@ from .conditions import (
     EqV,
     all_of,
     any_of,
+    eq_truth,
     evaluate_ground,
+    grounded_truth,
     groundings,
     kleene,
     least_truth,
@@ -91,21 +97,36 @@ _MODES = (MODE_KLEENE, MODE_LEAST)
 DEFAULT_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
 class CRow:
-    """One conditional row: the tuple plus its membership condition."""
+    """One conditional row: the tuple, its membership condition, and the
+    condition's Kleene value.
 
-    __slots__ = ("values", "cond")
-    values: Tuple[Any, ...]
-    cond: Cond
+    The evaluator passes ``truth`` in, computed from the values of the
+    row's parts; ``CRow(values, cond)`` computes it from ``cond``.
+    Either way ``truth is kleene(cond)`` (the sanitizer audits it).
+    """
+
+    __slots__ = ("values", "cond", "truth")
+
+    def __init__(
+        self,
+        values: Tuple[Any, ...],
+        cond: Cond,
+        truth: Optional[TruthValue] = None,
+    ) -> None:
+        self.values = values
+        self.cond = cond
+        self.truth: TruthValue = kleene(cond) if truth is None else truth
+
+    def __repr__(self) -> str:
+        return f"CRow({self.values!r}, {self.cond!r}, {self.truth!r})"
 
 
 def _row_key(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """A dedup key distinguishing nulls by identity, constants by value."""
-    return tuple(
-        ("n", id(value)) if is_null(value) else ("c", value)
-        for value in values
-    )
+    """A dedup key distinguishing nulls by identity, constants by value:
+    the tuple itself, since a :class:`~repro.core.values.Null` compares
+    and hashes by identity."""
+    return tuple(values)
 
 
 class Evaluator:
@@ -120,6 +141,14 @@ class Evaluator:
     the environment raises
     :class:`~repro.errors.InconsistentInstanceError` — the inconsistent
     element has no completions to quantify over.
+
+    The index is read off each relation's
+    :class:`~repro.query.optimize.RelationStats` (its null cells and
+    per-column enumeration domains), so construction costs O(null
+    cells), not a column scan per null.  ``stats`` maps relation name →
+    stats a caller already holds for exactly that relation (the server's
+    read view at the relation's cut); a relation without them is scanned
+    here, once.  :meth:`plan` reuses the same stats.
     """
 
     def __init__(
@@ -129,7 +158,10 @@ class Evaluator:
         fds: Optional[Mapping[str, Any]] = None,
         optimize: bool = True,
         hash_joins: bool = True,
+        stats: Optional[Mapping[str, Any]] = None,
     ) -> None:
+        from .optimize import relation_stats  # local: optimize imports us
+
         self.env: Dict[str, Relation] = dict(env)
         self.limit = limit
         #: relation name → FD set (optional; informs key inference in
@@ -142,39 +174,45 @@ class Evaluator:
         self.hash_joins = hash_joins
         #: the :class:`~repro.query.optimize.Plan` of the last ``run()``
         self.last_plan: Optional[Any] = None
-        self._stats: Optional[Dict[str, Any]] = None
+        given = stats or {}
+        #: relation name → :class:`~repro.query.optimize.RelationStats`
+        self._stats: Dict[str, Any] = {
+            name: given[name] if name in given else relation_stats(relation)
+            for name, relation in self.env.items()
+        }
         #: id(null) → candidate constants (consistent enumeration domain)
         self.domains: Dict[int, Tuple[Any, ...]] = {}
         #: id(null) → the null object (keeps ids stable for the session)
         self._nulls: Dict[int, Null] = {}
         #: id(null) → {"relation", "attribute"} of the first occurrence
         self._provenance: Dict[int, Dict[str, Any]] = {}
-        for name, relation in self.env.items():
-            attributes = relation.schema.attributes
-            for row in relation.rows:
-                for attribute, value in zip(attributes, row.values):
-                    if value is NOTHING:
-                        raise InconsistentInstanceError(
-                            f"relation {name!r} contains NOTHING; an "
-                            "inconsistent instance has no completions "
-                            "to answer queries over"
-                        )
-                    if not is_null(value):
-                        continue
-                    self._nulls[id(value)] = value
-                    domain = relation.enumeration_domain(attribute)
-                    previous = self.domains.get(id(value))
-                    if previous is None:
-                        self.domains[id(value)] = tuple(domain)
-                    else:
-                        self.domains[id(value)] = tuple(
-                            constant
-                            for constant in previous
-                            if constant in domain
-                        )
-                    self._provenance.setdefault(
-                        id(value),
-                        {"relation": name, "attribute": attribute},
+        domains = self.domains
+        first: Dict[int, Domain] = {}  # id(null) → its first column's domain
+        for name, st in self._stats.items():
+            if st.has_nothing:
+                raise InconsistentInstanceError(
+                    f"relation {name!r} contains NOTHING; an "
+                    "inconsistent instance has no completions "
+                    "to answer queries over"
+                )
+            column_domains = st.domains
+            for value, attribute in st.null_cells:
+                key = id(value)
+                domain = column_domains[attribute]
+                pool = domains.get(key)
+                if pool is None:
+                    domains[key] = domain.values
+                    first[key] = domain
+                    self._nulls[key] = value
+                    self._provenance[key] = {
+                        "relation": name,
+                        "attribute": attribute,
+                    }
+                elif domain is not first[key]:
+                    # the pool is already a subset of the first domain,
+                    # so only another column's domain can narrow it
+                    domains[key] = tuple(
+                        constant for constant in pool if constant in domain
                     )
 
     # -- public API ---------------------------------------------------------
@@ -200,11 +238,7 @@ class Evaluator:
         return self._eval(node)
 
     def stats(self) -> Dict[str, Any]:
-        """Per-relation instance statistics, collected once per session."""
-        if self._stats is None:
-            from .optimize import collect_stats
-
-            self._stats = collect_stats(self.env)
+        """Per-relation instance statistics: the ones construction read."""
         return self._stats
 
     def plan(self, node: Node, mode: str = MODE_LEAST) -> Any:
@@ -259,11 +293,13 @@ class Evaluator:
             )
         certain_rows: List[Tuple[Any, ...]] = []
         maybe_rows: List[Tuple[Any, ...]] = []
+        least = mode == MODE_LEAST
         for crow in crows:
-            if mode == MODE_LEAST:
-                truth = least_truth(crow.cond, self.domains, limit=self.limit)
-            else:
-                truth = kleene(crow.cond)
+            truth = crow.truth
+            if least and truth is UNKNOWN:
+                # a Kleene-definite row is definite in least mode too;
+                # only an unknown one is ground
+                truth = grounded_truth(crow.cond, self.domains, limit=self.limit)
             if truth is TRUE:
                 certain_rows.append(crow.values)
             elif truth is UNKNOWN:
@@ -329,7 +365,7 @@ class Evaluator:
                 )
             attrs = relation.schema.attributes
             crows = [
-                CRow(tuple(row.values), ALWAYS) for row in relation.rows
+                CRow(tuple(row.values), ALWAYS, TRUE) for row in relation.rows
             ]
             return attrs, _dedup(crows)
 
@@ -339,10 +375,12 @@ class Evaluator:
             out: List[CRow] = []
             for crow in crows:
                 resolved = _pred_cond(node.pred, positions, crow.values)
-                combined = all_of([crow.cond, resolved])
-                if kleene(combined) is FALSE:
+                truth = and_(crow.truth, kleene(resolved))
+                if truth is FALSE:
                     continue
-                out.append(CRow(crow.values, combined))
+                out.append(
+                    CRow(crow.values, all_of([crow.cond, resolved]), truth)
+                )
             return attrs, out
 
         if isinstance(node, Project):
@@ -350,7 +388,7 @@ class Evaluator:
             positions = {attribute: i for i, attribute in enumerate(attrs)}
             keep = tuple(positions[attribute] for attribute in node.attributes)
             projected = [
-                CRow(tuple(crow.values[i] for i in keep), crow.cond)
+                CRow(tuple(crow.values[i] for i in keep), crow.cond, crow.truth)
                 for crow in crows
             ]
             return node.attributes, _dedup(projected)
@@ -369,22 +407,23 @@ class Evaluator:
             out: List[CRow] = []
 
             def emit(lrow: CRow, rrow: CRow) -> None:
+                truth = and_(lrow.truth, rrow.truth)
                 conds = [lrow.cond, rrow.cond]
                 values = list(lrow.values)
                 for i, j in zip(shared_l, shared_r):
                     lv = lrow.values[i]
                     rv = rrow.values[j]
                     if lv is not rv:
+                        truth = and_(truth, eq_truth(lv, rv))
+                        if truth is FALSE:
+                            return
                         conds.append(EqV(lv, rv))
                     # given the equality holds, the two cells are one
                     # value; prefer the constant representative
                     if is_null(lv) and not is_null(rv):
                         values[i] = rv
                 values.extend(rrow.values[j] for j in extra_r)
-                combined = all_of(conds)
-                if kleene(combined) is FALSE:
-                    return
-                out.append(CRow(tuple(values), combined))
+                out.append(CRow(tuple(values), all_of(conds), truth))
 
             if self.hash_joins and shared:
                 # bucket right rows by their constant shared-key tuple;
@@ -434,20 +473,21 @@ class Evaluator:
             out = []
             for lrow in left_rows:
                 parts: List[Cond] = [lrow.cond]
+                truth = lrow.truth
                 for rrow in right_rows:
-                    matches = all_of(
-                        [rrow.cond]
-                        + [
-                            EqV(lv, rv)
-                            for lv, rv in zip(lrow.values, rrow.values)
-                            if lv is not rv
-                        ]
-                    )
-                    parts.append(neg(matches))
-                combined = all_of(parts)
-                if kleene(combined) is FALSE:
+                    atoms: List[Cond] = [rrow.cond]
+                    matched = rrow.truth
+                    for lv, rv in zip(lrow.values, rrow.values):
+                        if lv is not rv:
+                            atoms.append(EqV(lv, rv))
+                            matched = and_(matched, eq_truth(lv, rv))
+                    parts.append(neg(all_of(atoms)))
+                    truth = and_(truth, not_(matched))
+                    if truth is FALSE:
+                        break  # a right row certainly matches
+                if truth is FALSE:
                     continue
-                out.append(CRow(lrow.values, combined))
+                out.append(CRow(lrow.values, all_of(parts), truth))
             return left_attrs, _dedup(out)
 
         if isinstance(node, Empty):
@@ -491,7 +531,9 @@ def _dedup(crows: List[CRow]) -> List[CRow]:
             order.append(key)
         elif existing.cond != crow.cond:
             merged[key] = CRow(
-                existing.values, any_of([existing.cond, crow.cond])
+                existing.values,
+                any_of([existing.cond, crow.cond]),
+                or_(existing.truth, crow.truth),
             )
     return [merged[key] for key in order]
 

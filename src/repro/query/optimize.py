@@ -61,11 +61,11 @@ from typing import (
     Tuple,
 )
 
-from ..core.domain import _FRESH_PREFIX
+from ..core.domain import _FRESH_PREFIX, Domain
 from ..core.fd import FD, as_fd
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
-from ..core.values import is_null, null
+from ..core.values import NOTHING, Null, is_null, null
 from ..nullsem.queries import (
     AndP,
     AttrEq,
@@ -110,17 +110,29 @@ def _cap(value: int) -> int:
 
 @dataclass(frozen=True)
 class RelationStats:
-    """Per-relation facts the analyzer verifies from the instance."""
+    """Per-relation facts verified from one scan of the instance.
+
+    The analyzer reads the counts and pools; the
+    :class:`~repro.query.evaluate.Evaluator` builds each null's grounding
+    pool from ``domains`` and ``null_cells`` without rescanning a column.
+    A served relation builds them once per cut (its read view), so every
+    query at that cut shares them.
+    """
 
     rows: int
     #: attribute → number of null cells in that column
     null_counts: Mapping[str, int]
-    #: attribute → size of the column's enumeration domain (what a null
-    #: in that column ranges over before global intersection)
-    domain_sizes: Mapping[str, int]
+    #: attribute → the column's enumeration domain
+    #: (:meth:`~repro.core.relation.Relation.enumeration_domain`: what a
+    #: null in that column ranges over before global intersection)
+    domains: Mapping[str, Domain]
     #: attribute → verified finite superset of the column's possible
     #: values: observed constants ∪ the enumeration domain
     pools: Mapping[str, Tuple[Any, ...]]
+    #: every null cell as ``(null, attribute)``, in row-major order
+    null_cells: Tuple[Tuple[Null, str], ...]
+    #: some cell holds NOTHING (the instance has no completion)
+    has_nothing: bool
 
 
 def relation_stats(relation: Relation) -> RelationStats:
@@ -128,25 +140,29 @@ def relation_stats(relation: Relation) -> RelationStats:
     attrs = relation.schema.attributes
     null_counts: Dict[str, int] = {a: 0 for a in attrs}
     observed: Dict[str, Dict[Any, None]] = {a: {} for a in attrs}
+    null_cells: List[Tuple[Null, str]] = []
     for row in relation.rows:
         for attribute, value in zip(attrs, row.values):
             if is_null(value):
                 null_counts[attribute] += 1
+                null_cells.append((value, attribute))
             else:
                 observed[attribute].setdefault(value)
-    domain_sizes: Dict[str, int] = {}
+    domains: Dict[str, Domain] = {}
     pools: Dict[str, Tuple[Any, ...]] = {}
     for attribute in attrs:
-        enum = tuple(relation.enumeration_domain(attribute))
-        domain_sizes[attribute] = len(enum)
+        domain = relation.enumeration_domain(attribute)
+        domains[attribute] = domain
         pool = dict.fromkeys(observed[attribute])
-        pool.update(dict.fromkeys(enum))
+        pool.update(dict.fromkeys(domain))
         pools[attribute] = tuple(pool)
     return RelationStats(
         rows=len(relation.rows),
         null_counts=null_counts,
-        domain_sizes=domain_sizes,
+        domains=domains,
         pools=pools,
+        null_cells=tuple(null_cells),
+        has_nothing=any(NOTHING in seen for seen in observed.values()),
     )
 
 
@@ -266,7 +282,7 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
         for attribute in attrs:
             count = st.null_counts.get(attribute, 0)
             if count:
-                size = max(1, st.domain_sizes.get(attribute, 1))
+                size = max(1, len(st.domains.get(attribute, ())))
                 null_space = _cap(null_space * size**count)
         return Facts(
             attrs=attrs,

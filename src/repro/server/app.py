@@ -7,6 +7,8 @@ One process, one event loop::
                         └─ op records ─▶ GroupCommitter ─▶ one append+fsync per burst
        reads ─▶ ReadLease (consistent cut) ─▶ live answer, or a detached
                 chase in an executor thread when the writer has moved on
+       queries ─▶ each scanned relation's ReadView at its cut (fixpoint
+                + stats, built once per cut and shared) ─▶ Evaluator
 
 The server opens its database **exclusively** (the directory lock is
 held for the whole run): a served directory has exactly one mutator
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
 
 from ..api import TAG_CERTAIN, WIRE_VERSION
 from ..core.values import is_null
@@ -41,8 +43,9 @@ from ..db.log import SYNC_FSYNC
 from ..errors import ReproError
 from ..query import parse_query, relation_names
 from ..query.evaluate import Evaluator
+from ..query.optimize import RelationStats
 from . import protocol
-from .writer import RelationWriter
+from .writer import ReadView, RelationWriter
 
 
 def _ok(request_id: Any, **fields: Any) -> dict:
@@ -59,6 +62,34 @@ class _Refused(ReproError):
     def __init__(self, diagnostics: list) -> None:
         super().__init__("batch refused by lint")
         self.diagnostics = diagnostics
+
+
+class _RawStats(Mapping[str, RelationStats]):
+    """Relation name → raw-row stats, built on first lookup, so the plan
+    linter reads only the relations a query scans.  A shared read takes
+    them from the relation's read view at its current cut (built once
+    per cut); an isolated read builds its own and leaves the view alone."""
+
+    def __init__(self, writers: Dict[str, RelationWriter], shared: bool) -> None:
+        self._writers = writers
+        self._shared = shared
+        self._looked_up: Dict[str, RelationStats] = {}
+
+    def __getitem__(self, name: str) -> RelationStats:
+        stats = self._looked_up.get(name)
+        if stats is None:
+            writer = self._writers[name]
+            view = (
+                writer.view() if self._shared else ReadView(writer.relation.session)
+            )
+            stats = self._looked_up[name] = view.raw_stats
+        return stats
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._writers)
+
+    def __len__(self) -> int:
+        return len(self._writers)
 
 
 class ReproServer:
@@ -367,29 +398,34 @@ class ReproServer:
         tree) reject the request outright, warnings ride along in the
         success payload, and ``explain: true`` returns the optimized
         plan text — lease-free — instead of evaluating.
+
+        Read state is built once per cut: each relation's writer holds
+        a :class:`~repro.server.writer.ReadView` — the fixpoint, its
+        stats and the raw rows' stats — that the first read at a cut
+        fills and every later read at that cut shares.  Any mutation
+        moves the cut, and the next read starts a new view.  Detached
+        and ``isolated`` reads build a private view instead, off the
+        loop, and never read or fill the shared one.
         """
         from ..analysis import lint_query_request  # local: keeps startup light
-        from ..query.optimize import relation_stats
 
         db = self._database()
         catalog = {
             name: db.relation(name).session.schema for name in db.names()
         }
-        # instance stats and FDs come from the maintained fixpoint's raw
-        # rows — no lease, no chase; the plan linter runs *before any
-        # lease is taken*, so a doomed read (least-mode grounding blow-up,
-        # statically unsatisfiable tree) is refused without ever holding
-        # up group commit
-        stats = {
-            name: relation_stats(db.relation(name).raw_relation())
-            for name in db.names()
-        }
+        # the linter reads the raw rows' stats of the relations the query
+        # scans (each relation's view at its current cut; no lease, no
+        # chase); it runs *before any lease is taken*, so a doomed read
+        # (least-mode grounding blow-up, statically unsatisfiable tree)
+        # is refused without ever holding up group commit
+        requested_isolation = bool(request.get("isolated"))
+        raw_stats = _RawStats(self._writers, shared=not requested_isolation)
         fds = {
             name: tuple(db.relation(name).session.fds)
             for name in db.names()
         }
         diagnostics = lint_query_request(
-            catalog, request, stats=stats, fds=fds
+            catalog, request, stats=raw_stats, fds=fds
         )
         if any(d.severity == "error" for d in diagnostics):
             return {
@@ -408,7 +444,9 @@ class ReproServer:
             env = {
                 name: db.relation(name).raw_relation() for name in db.names()
             }
-            plan_text = Evaluator(env, fds=fds).explain(node, mode=mode)
+            plan_text = Evaluator(env, fds=fds, stats=raw_stats).explain(
+                node, mode=mode
+            )
             payload: Dict[str, Any] = {"plan": plan_text}
             if diagnostics:
                 payload["diagnostics"] = [d.to_payload() for d in diagnostics]
@@ -424,7 +462,7 @@ class ReproServer:
         as_of: Any = (
             cuts[known[0]] if len(names) == 1 and known else dict(cuts)
         )
-        isolated = bool(request.get("isolated")) or any(
+        isolated = requested_isolation or any(
             self._writers[name].pending() > 0 for name in known
         )
         live = (
@@ -433,11 +471,19 @@ class ReproServer:
         )
 
         def materialize_and_evaluate():
-            env = {
-                name: lease.result(detached=not live).relation
-                for name, lease in leases.items()
-            }
-            evaluator = Evaluator(env, fds=fds)
+            if live:
+                # every lease is fresh: the shared view is at its cut
+                views = {name: self._writers[name].view() for name in leases}
+            else:
+                views = {
+                    name: ReadView(lease.instance(True))
+                    for name, lease in leases.items()
+                }
+            evaluator = Evaluator(
+                {name: view.relation for name, view in views.items()},
+                fds=fds,
+                stats={name: view.stats for name, view in views.items()},
+            )
             return evaluator.run(node, mode=mode, as_of=as_of, live=live)
 
         if live:

@@ -98,12 +98,16 @@ def lint_batch(relation: ManagedRelation, requests: Any) -> list:
     refused whole.
 
     Cost: inserts, single-column fills, snapshots and adopts are undone
-    by popping the session's trail, O(the work they caused).  An op that
-    rewinds, retires or rebuilds — a delete, update or replace, a
-    rollback, a reset — bumps the session's generation, and the undo
-    then becomes a level rebuild: one O(n) chase of the relation's rows
-    per batch.  Either way the undo bumps the generation, so a snapshot
-    taken before the batch later rolls back by a level rebuild too.
+    by popping the session's trail, O(the work they caused), and such a
+    dry run leaves the session's cut where it found it: a lease or read
+    view taken before the batch stays fresh, and a snapshot taken before
+    it still rolls back by a trail pop.  An op that rewinds, retires or
+    rebuilds — a delete, update or replace, a rollback, a reset — bumps
+    the session's generation, and the undo then becomes a level rebuild:
+    one O(n) chase of the relation's rows per batch, after which earlier
+    leases read detached and earlier snapshots roll back by a level
+    rebuild.  Neither kind counts in the relation's ``stats()``: only
+    applied ops do (:meth:`~repro.chase.session.ChaseSession.dry_run`).
     """
     from ..analysis import lint_requests
 

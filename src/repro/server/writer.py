@@ -30,10 +30,12 @@ import asyncio
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..chase.session import ReadLease
+from ..chase.session import ChaseSession, ReadLease
+from ..core.relation import Relation
 from ..db.database import ManagedRelation
 from ..db.log import GroupCommitter
 from ..errors import DatabaseError
+from ..query import optimize
 
 #: queue sentinel asking the writer to stop after the current burst
 _STOP = object()
@@ -67,6 +69,56 @@ class _Batch:
         self.apply_fns = apply_fns
 
 
+class ReadView:
+    """One relation's read state at one cut, each part built on first use.
+
+    * :attr:`relation` — the maintained fixpoint
+      (:meth:`~repro.chase.session.ChaseSession.result`);
+    * :attr:`stats` — its :class:`~repro.query.optimize.RelationStats`:
+      the column domains and null cells the evaluator grounds over, and
+      the counts and pools the optimizer plans with;
+    * :attr:`raw_stats` — the raw rows' stats, which the plan linter
+      reads before any lease is taken.
+
+    A view is bound to its session's
+    :attr:`~repro.chase.session.ChaseSession.cut`.  The writer's shared
+    view (:meth:`RelationWriter.view`) is read only while the session
+    still stands there; every mutation moves the cut, so a stale view is
+    replaced, never read, and the write path does nothing to keep views
+    current.  Over a lease's private session it is a one-off view that
+    no other read sees.
+    """
+
+    __slots__ = ("cut", "_session", "_relation", "_stats", "_raw_stats")
+
+    def __init__(self, session: ChaseSession) -> None:
+        self._session = session
+        self.cut = session.cut
+        self._relation: Optional[Relation] = None
+        self._stats: Optional[optimize.RelationStats] = None
+        self._raw_stats: Optional[optimize.RelationStats] = None
+
+    @property
+    def relation(self) -> Relation:
+        if self._relation is None:
+            self._relation = self._session.result().relation
+        return self._relation
+
+    @property
+    def stats(self) -> optimize.RelationStats:
+        if self._stats is None:
+            self._stats = optimize.relation_stats(self.relation)
+        return self._stats
+
+    @property
+    def raw_stats(self) -> optimize.RelationStats:
+        if self._raw_stats is None:
+            self._raw_stats = optimize.relation_stats(
+                self._session.raw_relation()
+            )
+        return self._raw_stats
+
+
 class RelationWriter:
     """The single mutator of one served relation."""
 
@@ -91,6 +143,7 @@ class RelationWriter:
         self._task: Optional["asyncio.Task[None]"] = None
         self._last_staged: Optional["asyncio.Future[Any]"] = None
         self._last_checkpoint = time.monotonic()
+        self._view: Optional[ReadView] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -147,6 +200,17 @@ class RelationWriter:
         serial prefix of the op stream.
         """
         return self.relation.session.lease(), self.relation.seq
+
+    def view(self) -> ReadView:
+        """The shared :class:`ReadView` at the session's current cut: the
+        one already held while the session still stands at its cut, else
+        a new, empty one (built on first read, never on the write path).
+        Read it on the loop, between ops, as live leases are read."""
+        session = self.relation.session
+        view = self._view
+        if view is None or view.cut != session.cut:
+            view = self._view = ReadView(session)
+        return view
 
     def pending(self) -> int:
         """Queued ops not yet applied (the read path's busy signal)."""

@@ -311,3 +311,18 @@ class TestEvaluatorAudit:
         tampered = crows + [CRow(("a9", stranger), cond)]
         with pytest.raises(SanitizerError, match="unregistered null"):
             audit(evaluator, attrs, tampered, certain, maybe)
+
+    def test_drifted_kleene_value_detected(self):
+        from repro.core.truth import TRUE, UNKNOWN
+        from repro.query.evaluate import CRow
+
+        audit, evaluator, attrs, crows, certain, maybe = (
+            self.evaluator_parts()
+        )
+        unknown = next(crow for crow in crows if crow.truth is UNKNOWN)
+        drifted = [
+            CRow(crow.values, crow.cond, TRUE) if crow is unknown else crow
+            for crow in crows
+        ]
+        with pytest.raises(SanitizerError, match="Kleene value"):
+            audit(evaluator, attrs, drifted, certain, maybe)

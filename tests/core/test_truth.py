@@ -128,3 +128,29 @@ class TestLub:
     def test_lub_is_order_insensitive_and_idempotent(self, left, right):
         assert lub(left + right) is lub(right + left)
         assert lub(left + left) is lub(left)
+
+
+class TestConnectiveTruthTables:
+    """``and_``/``or_`` decide by identity with early exits; pin them to
+    the order FALSE < UNKNOWN < TRUE on every argument tuple of length
+    0 to 3 (the empty tuple included)."""
+
+    RANK = {FALSE: 0, UNKNOWN: 1, TRUE: 2}
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
+    def test_and_is_the_minimum(self, arity):
+        for values in itertools.product(ALL, repeat=arity):
+            expected = min(values, key=self.RANK.__getitem__, default=TRUE)
+            assert and_(*values) is expected, values
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
+    def test_or_is_the_maximum(self, arity):
+        for values in itertools.product(ALL, repeat=arity):
+            expected = max(values, key=self.RANK.__getitem__, default=FALSE)
+            assert or_(*values) is expected, values
+
+    def test_a_non_truth_value_is_refused(self):
+        with pytest.raises(TypeError):
+            and_(TRUE, True)
+        with pytest.raises(TypeError):
+            or_(FALSE, None)
