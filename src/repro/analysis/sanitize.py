@@ -488,13 +488,13 @@ def audit_evaluator(
       no key is tagged both ways, and every answer row is one of the
       conditional rows;
     * every null any row condition references was registered at
-      construction, with an enumeration domain — a condition over an
+      construction, with a grounding pool — a condition over an
       unregistered null could never be ground, so its truth was
       made up;
     * every row's carried Kleene value is its condition's — a value
       drifted while the row was built would tag it wrongly.
     """
-    from ..query.conditions import kleene, nulls_of
+    from ..core.conditions import kleene, nulls_of
     from ..query.evaluate import _row_key
 
     seen: Set[Tuple[Any, ...]] = set()
@@ -520,17 +520,11 @@ def audit_evaluator(
                 f"condition's Kleene value is {kleene(crow.cond)!r}",
             )
         for null_obj in nulls_of(crow.cond):
-            if id(null_obj) not in evaluator._nulls:
+            if id(null_obj) not in evaluator.domains:
                 _fail(
                     "evaluator",
                     f"condition references unregistered null "
                     f"{null_obj!r}",
-                )
-            if id(null_obj) not in evaluator.domains:
-                _fail(
-                    "evaluator",
-                    f"registered null {null_obj!r} has no enumeration "
-                    f"domain",
                 )
     certain_keys = {_row_key(row) for row in certain_rows}
     maybe_keys = {_row_key(row) for row in maybe_rows}

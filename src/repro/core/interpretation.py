@@ -36,17 +36,17 @@ divergence is reproduced and documented in the tests and EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import DomainError, ReproError
+from ..errors import ReproError
 from .attributes import attrs_difference
+from .conditions import EqV, all_of, any_of, grounded_truth, neg, null_pools
 from .fd import FD, FDInput, as_fd
 from .relation import Relation
 from .schema import RelationSchema
 from .truth import FALSE, TRUE, UNKNOWN, TruthValue, lub
 from .tuples import Row
-from .values import Null, is_constant, is_null
+from .values import is_constant, is_null
 
 #: Default cap on brute-force completion enumeration.
 DEFAULT_LIMIT = 500_000
@@ -266,50 +266,33 @@ def _exact_value(
 def _enumerated_value(
     fd: FD, row: Row, others: Sequence[Row], relation: Relation
 ) -> TruthValue:
-    """Least-extension value by enumerating completions of ``t`` only.
+    """Least-extension value by grounding ``t``'s nulls only.
 
     Used when ``t`` reuses a null object across positions (the polynomial
     shortcut's independence assumption fails) but the other rows are still
-    null-free on ``XY``.  Exponential in the number of *distinct* nulls of
-    ``t[XY]`` only.
+    null-free on ``XY``: the lub, over the groundings of ``t[XY]``'s nulls
+    (:mod:`repro.core.conditions`), of "no other row agrees with ``t`` on
+    ``X`` and differs on ``Y``".  Exponential in the number of *distinct*
+    nulls of ``t[XY]`` only.
     """
     lhs, rhs = _normalize(fd)
     if not rhs:
         return TRUE
-    attrs = tuple(lhs) + tuple(rhs)
-
-    nulls: List[Null] = []
-    seen: set = set()
-    for attr in attrs:
-        value = row[attr]
-        if is_null(value) and id(value) not in seen:
-            seen.add(id(value))
-            nulls.append(value)
-
-    choices: List[Tuple[Any, ...]] = []
-    for null_obj in nulls:
-        allowed: Optional[set] = None
-        for attr in attrs:
-            if row[attr] is null_obj:
-                domain = relation.enumeration_domain(attr)
-                values = set(domain)
-                allowed = values if allowed is None else (allowed & values)
-        choices.append(tuple(sorted(allowed or (), key=repr)))
-
-    outcomes: List[TruthValue] = []
-    for combo in itertools.product(*choices):
-        substitution = dict(zip((id(n) for n in nulls), combo))
-        completed = row.substitute({n: substitution[id(n)] for n in nulls})
-        t_x = completed.project(lhs)
-        t_y = completed.project(rhs)
-        violated = any(
-            other.project(lhs) == t_x and other.project(rhs) != t_y
+    violated = any_of(
+        [
+            all_of(
+                [EqV(row[a], other[a]) for a in lhs]
+                + [neg(all_of([EqV(row[a], other[a]) for a in rhs]))]
+            )
             for other in others
-        )
-        outcomes.append(FALSE if violated else TRUE)
-        if TRUE in outcomes and FALSE in outcomes:
-            return UNKNOWN
-    return lub(outcomes)
+        ]
+    )
+    pools = null_pools(
+        (row[a], relation.enumeration_domain(a).values)
+        for a in tuple(lhs) + tuple(rhs)
+        if is_null(row[a])
+    )
+    return grounded_truth(neg(violated), pools)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,16 @@ instantiates with ``f(t, r)``; the module exists so that examples and
 benches can *show* the shared mechanism (and its cost — the paper notes
 the rule "has an unacceptable complexity for practical considerations",
 motivating the transformed evaluators of :mod:`repro.nullsem.queries`).
+The substitutions come from the least-extension kernel,
+:mod:`repro.core.conditions`: its pool rule and its grounding
+enumeration, the ones every other evaluator uses.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from ..core.conditions import groundings, null_pools
 from ..core.domain import Domain
 from ..core.truth import TruthValue, lub
 from ..core.values import is_null, null
@@ -44,26 +47,11 @@ def substitutions(
     """
     if len(args) != len(domains):
         raise DomainError("one domain per argument is required")
-    order: List[Any] = []
-    allowed: Dict[int, List[Any]] = {}
-    for value, domain in zip(args, domains):
-        if not is_null(value):
-            continue
-        key = id(value)
-        if key not in allowed:
-            allowed[key] = list(domain)
-            order.append(value)
-        else:
-            keep = set(domain)
-            allowed[key] = [v for v in allowed[key] if v in keep]
-    if not order:
-        yield tuple(args)
-        return
-    for combo in itertools.product(*(allowed[id(n)] for n in order)):
-        binding = {id(n): v for n, v in zip(order, combo)}
-        yield tuple(
-            binding[id(v)] if is_null(v) else v for v in args
-        )
+    cells = [(v, tuple(d)) for v, d in zip(args, domains) if is_null(v)]
+    pools = null_pools(cells)
+    nulls = list({id(value): value for value, _ in cells}.values())
+    for binding in groundings(nulls, pools):
+        yield tuple(binding[id(v)] if is_null(v) else v for v in args)
 
 
 def least_extension_truth(

@@ -12,12 +12,19 @@ evaluator is exact but enumerates substitutions; the paper cites
 [Vassiliou 79] for syntactic transformations that avoid the enumeration.
 This module provides:
 
-* a small predicate AST (:class:`Pred` constructors);
+* a small predicate AST (:class:`Pred` constructors) and
+  :func:`resolve`, which turns a predicate over a row's attributes into
+  a condition over its cells — the form every evaluator works on;
 * :func:`evaluate_kleene` — linear, three-valued, *under-informative*;
 * :func:`evaluate_least_extension` — exact, enumerates only the nulls the
   predicate actually references (the library's stand-in for the
   transformation: exponential only in the *relevant* nulls);
 * :func:`select` — certain/possible selection over a relation.
+
+Both evaluators run the resolved condition through the one
+least-extension kernel, :mod:`repro.core.conditions` — the same code
+:mod:`repro.query` grounds its conditional rows with; this module only
+supplies each null cell's candidate pool.
 
 Invariant (tested): wherever Kleene answers definitely, the least
 extension agrees; the least extension is always at least as definite.
@@ -25,16 +32,25 @@ extension agrees; the least extension is always at least as definite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Mapping, Sequence, Tuple
 
-from ..core.domain import Domain, effective_domain
+from ..core.conditions import (
+    ALWAYS,
+    Cond,
+    EqV,
+    all_of,
+    any_of,
+    fresh_values,
+    grounded_truth,
+    kleene,
+    neg,
+    null_pools,
+)
 from ..core.relation import Relation
-from ..core.truth import FALSE, TRUE, UNKNOWN, TruthValue, and_, from_bool, lub, not_, or_
+from ..core.truth import FALSE, TRUE, TruthValue
 from ..core.tuples import Row
 from ..core.values import is_null
-from ..errors import DomainError
 
 
 class Pred:
@@ -132,118 +148,105 @@ def _evaluate_total(pred: Pred, row: Row) -> bool:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
+def mentioned_constants(pred: Pred) -> Tuple[Any, ...]:
+    """Every constant the predicate compares against, once each, in
+    syntax order."""
+    seen: Dict[Any, None] = {}
+
+    def walk(node: Pred) -> None:
+        if isinstance(node, Eq):
+            seen.setdefault(node.constant)
+        elif isinstance(node, In):
+            seen.update(dict.fromkeys(node.constants))
+        elif isinstance(node, NotP):
+            walk(node.operand)
+        elif isinstance(node, (AndP, OrP)):
+            for operand in node.operands:
+                walk(operand)
+
+    walk(pred)
+    return tuple(seen)
+
+
+def resolve(
+    pred: Pred, positions: Mapping[str, int], values: Sequence[Any]
+) -> Cond:
+    """Resolve a row predicate into a value-level condition.
+
+    ``positions`` maps each attribute to its index in ``values``.  An
+    ``AttrEq`` between two cells holding one null object is always true
+    (the same unknown equals itself), so it resolves to
+    :data:`~repro.core.conditions.ALWAYS`.
+    """
+    if isinstance(pred, Eq):
+        return EqV(values[positions[pred.attribute]], pred.constant)
+    if isinstance(pred, In):
+        cell = values[positions[pred.attribute]]
+        return any_of([EqV(cell, constant) for constant in pred.constants])
+    if isinstance(pred, AttrEq):
+        first = values[positions[pred.first]]
+        second = values[positions[pred.second]]
+        if first is second:
+            return ALWAYS
+        return EqV(first, second)
+    if isinstance(pred, NotP):
+        return neg(resolve(pred.operand, positions, values))
+    if isinstance(pred, AndP):
+        return all_of([resolve(p, positions, values) for p in pred.operands])
+    if isinstance(pred, OrP):
+        return any_of([resolve(p, positions, values) for p in pred.operands])
+    raise TypeError(f"not a predicate: {pred!r}")
+
+
+def _resolved(pred: Pred, row: Row) -> Cond:
+    """``pred`` resolved against ``row``'s cells; an attribute outside the
+    row's scheme raises the scheme's error, as ``row[attribute]`` does."""
+    schema = row.schema
+    positions = {
+        attribute: schema.position(attribute)
+        for attribute in referenced_attributes(pred)
+    }
+    return resolve(pred, positions, row.values)
+
+
 def evaluate_kleene(pred: Pred, row: Row) -> TruthValue:
     """Truth-functional evaluation: null comparisons are *unknown*.
 
     Linear in the predicate size; under-informative (see module docstring).
     """
-    if isinstance(pred, Eq):
-        value = row[pred.attribute]
-        if is_null(value):
-            return UNKNOWN
-        return from_bool(value == pred.constant)
-    if isinstance(pred, In):
-        value = row[pred.attribute]
-        if is_null(value):
-            return UNKNOWN
-        return from_bool(value in pred.constants)
-    if isinstance(pred, AttrEq):
-        first, second = row[pred.first], row[pred.second]
-        if first is second and is_null(first):
-            return TRUE  # the same unknown value equals itself
-        if is_null(first) or is_null(second):
-            return UNKNOWN
-        return from_bool(first == second)
-    if isinstance(pred, NotP):
-        return not_(evaluate_kleene(pred.operand, row))
-    if isinstance(pred, AndP):
-        return and_(*(evaluate_kleene(op, row) for op in pred.operands))
-    if isinstance(pred, OrP):
-        return or_(*(evaluate_kleene(op, row) for op in pred.operands))
-    raise TypeError(f"not a predicate: {pred!r}")
-
-
-def _mentioned_constants(pred: Pred) -> List[Any]:
-    """Every constant the predicate compares against, in syntax order."""
-    if isinstance(pred, Eq):
-        return [pred.constant]
-    if isinstance(pred, In):
-        return list(pred.constants)
-    if isinstance(pred, AttrEq):
-        return []
-    if isinstance(pred, NotP):
-        return _mentioned_constants(pred.operand)
-    if isinstance(pred, (AndP, OrP)):
-        out: List[Any] = []
-        for op in pred.operands:
-            out.extend(_mentioned_constants(op))
-        return out
-    raise TypeError(f"not a predicate: {pred!r}")
-
-
-def _relevant_groundings(pred: Pred, row: Row) -> Iterator[Row]:
-    """Groundings of the row restricted to the predicate's attributes.
-
-    This is the "transformed" evaluation: nulls in unreferenced columns are
-    never enumerated.  For unbounded domains, the candidate pool is exact
-    by the equality-pattern argument: a one-row predicate only ever tests a
-    cell's equality against *mentioned* constants, the row's own referenced
-    constants, or other referenced cells — so the pool of those constants
-    plus one shared fresh symbol per referenced null (plus one) realizes
-    every distinguishable outcome, and no others.
-    """
-    refs = referenced_attributes(pred)
-    null_attrs = [
-        a for a in row.schema.attributes if a in refs and is_null(row[a])
-    ]
-    if not null_attrs:
-        yield row
-        return
-
-    pool: List[Any] = []
-    seen: set = set()
-    for constant in _mentioned_constants(pred):
-        if constant not in seen:
-            seen.add(constant)
-            pool.append(constant)
-    for attr in refs:
-        value = row[attr]
-        if not is_null(value) and value not in seen:
-            seen.add(value)
-            pool.append(value)
-    pool.extend(f"‡fresh:{i}" for i in range(len(null_attrs) + 1))
-
-    # one choice per distinct null object; positions sharing a null
-    # intersect their domains
-    order: List[Any] = []
-    allowed: dict = {}
-    for attr in null_attrs:
-        value = row[attr]
-        declared = row.schema.domain(attr)
-        candidates = list(declared) if declared.is_finite else list(pool)
-        key = id(value)
-        if key not in allowed:
-            allowed[key] = candidates
-            order.append(value)
-        else:
-            keep = set(candidates)
-            allowed[key] = [v for v in allowed[key] if v in keep]
-    for combo in itertools.product(*(allowed[id(n)] for n in order)):
-        yield row.substitute(dict(zip(order, combo)))
+    return kleene(_resolved(pred, row))
 
 
 def evaluate_least_extension(pred: Pred, row: Row) -> TruthValue:
     """Exact least-extension evaluation (the section 2 semantics).
 
-    ``lub`` of the two-valued evaluations over all relevant groundings;
-    exponential only in the number of *referenced* null cells.
+    ``lub`` of the two-valued evaluations over the groundings of the
+    referenced nulls only — the "transformed" evaluation, exponential
+    only in the *referenced* null cells.  A cell's candidates are its
+    declared finite domain, else the constants the predicate mentions
+    and the row's referenced constants, plus one fresh value per
+    referenced null cell and one more: a one-row predicate only tests
+    equality against those constants or other referenced cells.
     """
-    outcomes: List[TruthValue] = []
-    for grounded in _relevant_groundings(pred, row):
-        outcomes.append(from_bool(_evaluate_total(pred, grounded)))
-        if TRUE in outcomes and FALSE in outcomes:
-            return UNKNOWN
-    return lub(outcomes)
+    cond = _resolved(pred, row)
+    refs = referenced_attributes(pred)
+    schema = row.schema
+    null_attrs = [
+        a for a in schema.attributes if a in refs and is_null(row[a])
+    ]
+    pool = dict.fromkeys(mentioned_constants(pred))
+    pool.update(dict.fromkeys(row[a] for a in refs if not is_null(row[a])))
+    open_pool = tuple(pool) + fresh_values(len(null_attrs) + 1)
+    declared = [schema.domain(a) for a in null_attrs]
+    pools = null_pools(
+        (row[a], domain.values if domain.is_finite else open_pool)
+        for a, domain in zip(null_attrs, declared)
+    )
+    if not all(pools.values()):
+        # a referenced null no candidate fits: the row has no grounding,
+        # and the lub of nothing is TRUE
+        return TRUE
+    return grounded_truth(cond, pools)
 
 
 def select(

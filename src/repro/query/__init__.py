@@ -1,17 +1,17 @@
 """``repro.query`` — relational algebra over incomplete instances.
 
 The paper's Section 2 gives exact *least-extension* semantics for
-queries over instances with nulls; :mod:`repro.nullsem.queries` has
-implemented it for one-row predicates since the seed.  This package
-turns that kernel into a usable query layer:
+queries over instances with nulls.  One kernel implements it,
+:mod:`repro.core.conditions`: constraint formulas over null/constant
+equalities, evaluated Kleene-style (linear, under-informative) or by
+least-extension grounding (exact, local), with one pool rule and one
+grounding enumeration.  :mod:`repro.nullsem.queries` evaluates one-row
+predicates through it; this package threads it through a usable query
+layer, one condition per derived row:
 
 * :mod:`~repro.query.algebra` — the operator AST
   (``select``/``project``/``join``/``union``/``difference``/``rename``)
   and its static schema checker;
-* :mod:`~repro.query.conditions` — the condition kernel the evaluator
-  threads through the algebra: per-derived-row constraint formulas over
-  null/constant equalities, evaluated Kleene-style (linear,
-  under-informative) or by least-extension grounding (exact, local);
 * :mod:`~repro.query.evaluate` — the evaluator: **certain** answers
   (rows in the query result under *every* completion of the database)
   and **maybe** answers (under *some* completion), with nulls

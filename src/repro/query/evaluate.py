@@ -3,7 +3,7 @@
 The evaluator is a small conditional-table algebra (Imielinski–Lipski
 style, restricted to the equality atoms this library needs): every
 derived row is a ``(values, cond)`` pair where ``cond`` is the
-:mod:`~repro.query.conditions` formula under which the row belongs to
+:mod:`~repro.core.conditions` formula under which the row belongs to
 the result.  Base rows enter with the vacuous condition; ``select``
 conjoins the resolved predicate, a natural ``join`` conjoins equality
 atoms on shared attributes, and ``difference`` conjoins the negation of
@@ -25,14 +25,16 @@ A finished row is then tagged by the truth of its condition:
   completion, not provably all);
 * ``FALSE`` → dropped.
 
-Two modes mirror :mod:`repro.nullsem.queries`: :data:`MODE_KLEENE`
-evaluates conditions truth-functionally (linear, under-informative —
-some certain answers are reported as maybe), :data:`MODE_LEAST`
-grounds each condition's nulls over their consistent domains (the
-declared finite domain of every column the null occurs in, intersected
-across *all* its occurrences in the environment) and takes the least
-upper bound — the paper's least-extension semantics, exact but local:
-exponential only in the nulls one condition references.
+Both modes evaluate conditions through the one least-extension kernel,
+:mod:`repro.core.conditions`, which :mod:`repro.nullsem.queries` uses
+too: :data:`MODE_KLEENE` evaluates them truth-functionally (linear,
+under-informative — some certain answers are reported as maybe),
+:data:`MODE_LEAST` grounds each condition's nulls over their pools
+(the kernel's pool rule over the enumeration domain of every column
+the null occurs in, across *all* its occurrences in the environment)
+and takes the least upper bound — the paper's least-extension
+semantics, exact but local: exponential only in the nulls one
+condition references.
 
 :func:`ground_answers` produces the fully ground certain/possible
 answer *sets* the differential suite compares against brute-force
@@ -53,26 +55,7 @@ from typing import (
 )
 
 from ..api import TAG_CERTAIN, TAG_MAYBE, Answer, ResultSet
-from ..core.domain import Domain
-from ..core.relation import Relation
-from ..core.truth import FALSE, TRUE, UNKNOWN, TruthValue, and_, not_, or_
-from ..core.values import Null, is_null
-from ..errors import InconsistentInstanceError
-from ..nullsem.queries import AndP, AttrEq, Eq, In, NotP, OrP, Pred
-from .algebra import (
-    Difference,
-    Empty,
-    Join,
-    Node,
-    Project,
-    QueryError,
-    Rename,
-    Scan,
-    Select,
-    Union,
-    output_schema,
-)
-from .conditions import (
+from ..core.conditions import (
     ALWAYS,
     Cond,
     EqV,
@@ -85,7 +68,27 @@ from .conditions import (
     kleene,
     least_truth,
     neg,
+    null_pools,
     nulls_of,
+)
+from ..core.domain import Domain
+from ..core.relation import Relation
+from ..core.truth import FALSE, TRUE, UNKNOWN, TruthValue, and_, not_, or_
+from ..core.values import Null, is_null
+from ..errors import InconsistentInstanceError
+from ..nullsem.queries import resolve
+from .algebra import (
+    Difference,
+    Empty,
+    Join,
+    Node,
+    Project,
+    QueryError,
+    Rename,
+    Scan,
+    Select,
+    Union,
+    output_schema,
 )
 
 MODE_KLEENE = "kleene"
@@ -133,12 +136,14 @@ class Evaluator:
     """Evaluate query trees against a fixed environment of relations.
 
     ``env`` maps relation name → :class:`~repro.core.relation.Relation`.
-    Construction indexes every null in the environment: its consistent
-    enumeration domain (declared column domains intersected across all
-    occurrences, including occurrences in relations the query does not
-    scan — the whole environment constrains an unknown) and its scan
-    provenance.  A :data:`~repro.core.values.NOTHING` cell anywhere in
-    the environment raises
+    Construction indexes every null in the environment: its grounding
+    pool (the kernel's pool rule,
+    :func:`~repro.core.conditions.null_pools`, over the enumeration
+    domain of every column it occurs in, across all occurrences,
+    including occurrences in relations the query does not scan — the
+    whole environment constrains an unknown) and its scan provenance.
+    A :data:`~repro.core.values.NOTHING` cell anywhere in the
+    environment raises
     :class:`~repro.errors.InconsistentInstanceError` — the inconsistent
     element has no completions to quantify over.
 
@@ -180,14 +185,9 @@ class Evaluator:
             name: given[name] if name in given else relation_stats(relation)
             for name, relation in self.env.items()
         }
-        #: id(null) → candidate constants (consistent enumeration domain)
-        self.domains: Dict[int, Tuple[Any, ...]] = {}
-        #: id(null) → the null object (keeps ids stable for the session)
-        self._nulls: Dict[int, Null] = {}
-        #: id(null) → {"relation", "attribute"} of the first occurrence
-        self._provenance: Dict[int, Dict[str, Any]] = {}
-        domains = self.domains
-        first: Dict[int, Domain] = {}  # id(null) → its first column's domain
+        #: id(null) → (relation, attribute) of its first occurrence
+        self._provenance: Dict[int, Tuple[str, str]] = {}
+        occurrences: List[Tuple[Null, Tuple[Any, ...]]] = []
         for name, st in self._stats.items():
             if st.has_nothing:
                 raise InconsistentInstanceError(
@@ -195,25 +195,12 @@ class Evaluator:
                     "inconsistent instance has no completions "
                     "to answer queries over"
                 )
-            column_domains = st.domains
             for value, attribute in st.null_cells:
-                key = id(value)
-                domain = column_domains[attribute]
-                pool = domains.get(key)
-                if pool is None:
-                    domains[key] = domain.values
-                    first[key] = domain
-                    self._nulls[key] = value
-                    self._provenance[key] = {
-                        "relation": name,
-                        "attribute": attribute,
-                    }
-                elif domain is not first[key]:
-                    # the pool is already a subset of the first domain,
-                    # so only another column's domain can narrow it
-                    domains[key] = tuple(
-                        constant for constant in pool if constant in domain
-                    )
+                self._provenance.setdefault(id(value), (name, attribute))
+            columns = {a: domain.values for a, domain in st.domains.items()}
+            occurrences += [(value, columns[a]) for value, a in st.null_cells]
+        #: id(null) → candidate constants (consistent enumeration domain)
+        self.domains: Dict[int, Tuple[Any, ...]] = null_pools(occurrences)
 
     # -- public API ---------------------------------------------------------
 
@@ -350,7 +337,11 @@ class Evaluator:
                 if not is_null(value) or value.label in out:
                     continue
                 record = self._provenance.get(id(value))
-                out[value.label] = dict(record) if record else {}
+                out[value.label] = (
+                    {"relation": record[0], "attribute": record[1]}
+                    if record
+                    else {}
+                )
         return out
 
     # -- the conditional-table algebra --------------------------------------
@@ -374,7 +365,7 @@ class Evaluator:
             positions = {attribute: i for i, attribute in enumerate(attrs)}
             out: List[CRow] = []
             for crow in crows:
-                resolved = _pred_cond(node.pred, positions, crow.values)
+                resolved = resolve(node.pred, positions, crow.values)
                 truth = and_(crow.truth, kleene(resolved))
                 if truth is FALSE:
                     continue
@@ -536,34 +527,6 @@ def _dedup(crows: List[CRow]) -> List[CRow]:
                 or_(existing.truth, crow.truth),
             )
     return [merged[key] for key in order]
-
-
-def _pred_cond(
-    pred: Pred, positions: Mapping[str, int], values: Tuple[Any, ...]
-) -> Cond:
-    """Resolve a row predicate into a value-level condition."""
-    if isinstance(pred, Eq):
-        return EqV(values[positions[pred.attribute]], pred.constant)
-    if isinstance(pred, In):
-        cell = values[positions[pred.attribute]]
-        return any_of([EqV(cell, constant) for constant in pred.constants])
-    if isinstance(pred, AttrEq):
-        first = values[positions[pred.first]]
-        second = values[positions[pred.second]]
-        if first is second:
-            return ALWAYS
-        return EqV(first, second)
-    if isinstance(pred, NotP):
-        return neg(_pred_cond(pred.operand, positions, values))
-    if isinstance(pred, AndP):
-        return all_of(
-            [_pred_cond(p, positions, values) for p in pred.operands]
-        )
-    if isinstance(pred, OrP):
-        return any_of(
-            [_pred_cond(p, positions, values) for p in pred.operands]
-        )
-    raise QueryError(f"not a predicate: {pred!r}")
 
 
 def evaluate(

@@ -39,15 +39,17 @@ Kleene mode keeps conditions over nullable columns untouched: a
 domain-exhausting disjunction reads *unknown* there, and rewriting it
 away would change answers.
 
-Satisfiability itself reuses the :mod:`~repro.query.conditions`
-machinery: the predicate is resolved against a row of fresh nulls (one
-per referenced attribute) and ground over small models — the verified
-value supersets for domain-level verdicts, mentioned constants plus one
-fresh sentinel per attribute for domain-independent ones.
+Satisfiability itself goes through the least-extension kernel,
+:mod:`~repro.core.conditions`: the predicate is resolved against a row
+of fresh nulls (one per referenced attribute) and ground over small
+models — the verified value supersets for domain-level verdicts,
+mentioned constants plus one kernel fresh value per attribute for
+domain-independent ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -61,10 +63,12 @@ from typing import (
     Tuple,
 )
 
+from ..core.conditions import fresh_values, grounded_truth
 from ..core.domain import _FRESH_PREFIX, Domain
 from ..core.fd import FD, as_fd
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
+from ..core.truth import FALSE, TRUE, TruthValue
 from ..core.values import NOTHING, Null, is_null, null
 from ..nullsem.queries import (
     AndP,
@@ -74,7 +78,9 @@ from ..nullsem.queries import (
     NotP,
     OrP,
     Pred,
+    mentioned_constants,
     referenced_attributes,
+    resolve,
 )
 from .algebra import (
     Difference,
@@ -89,8 +95,7 @@ from .algebra import (
     Union,
     output_schema,
 )
-from .conditions import evaluate_ground, groundings
-from .evaluate import DEFAULT_LIMIT, MODE_LEAST, _pred_cond
+from .evaluate import DEFAULT_LIMIT, MODE_LEAST
 
 #: combinatorial cap on small-model satisfiability enumeration
 SAT_LIMIT = 4096
@@ -475,33 +480,8 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
 
 
 # ---------------------------------------------------------------------------
-# predicate satisfiability over small models (via conditions.py)
+# predicate satisfiability over small models (via the kernel)
 # ---------------------------------------------------------------------------
-
-
-def _mentioned_constants(pred: Pred) -> Tuple[Any, ...]:
-    seen: Dict[Any, None] = {}
-
-    def walk(p: Pred) -> None:
-        if isinstance(p, Eq):
-            seen.setdefault(p.constant)
-        elif isinstance(p, In):
-            for constant in p.constants:
-                seen.setdefault(constant)
-        elif isinstance(p, NotP):
-            walk(p.operand)
-        elif isinstance(p, (AndP, OrP)):
-            for operand in p.operands:
-                walk(operand)
-
-    walk(pred)
-    return tuple(seen)
-
-
-class _Sentinel:
-    """A fresh value distinct from every constant and every other sentinel."""
-
-    __slots__ = ()
 
 
 def _is_open_pool(pool: Sequence[Any]) -> bool:
@@ -523,43 +503,30 @@ def _is_open_pool(pool: Sequence[Any]) -> bool:
     )
 
 
-def _pred_profile(
+def _pred_truth(
     pred: Pred, pools: Mapping[str, Sequence[Any]], limit: int = SAT_LIMIT
-) -> Optional[Tuple[bool, bool]]:
-    """``(saw_true, saw_false)`` of the two-valued predicate over the
-    product of per-attribute pools, or None when undecidable (a pool is
-    empty or the product exceeds ``limit``).
+) -> Optional[TruthValue]:
+    """The lub of the two-valued predicate over the product of
+    per-attribute pools — TRUE for a tautology, FALSE for a
+    contradiction — or None when undecidable (a pool is empty or the
+    product exceeds ``limit``).
 
     The predicate is resolved against a row of fresh nulls — one per
-    attribute — through the evaluator's own
-    :func:`~repro.query.evaluate._pred_cond`, then ground through
-    :func:`~repro.query.conditions.groundings`, so the model and the
-    runtime share one resolution semantics.
+    attribute — through :func:`~repro.nullsem.queries.resolve`, the
+    evaluator's own resolution, and ground by the kernel's
+    :func:`~repro.core.conditions.grounded_truth`, so the model and the
+    runtime share one semantics.
     """
-    attrs = list(pools)
-    total = 1
-    for pool in pools.values():
-        if not pool:
-            return None
-        total *= len(pool)
-        if total > limit:
-            return None
-    variables = {a: null() for a in attrs}
-    positions = {a: i for i, a in enumerate(attrs)}
-    values = tuple(variables[a] for a in attrs)
-    cond = _pred_cond(pred, positions, values)
-    domains = {id(variables[a]): tuple(pools[a]) for a in attrs}
-    saw_true = saw_false = False
-    for binding in groundings(
-        [variables[a] for a in attrs], domains, limit=limit
-    ):
-        if evaluate_ground(cond, binding):
-            saw_true = True
-        else:
-            saw_false = True
-        if saw_true and saw_false:
-            break
-    return saw_true, saw_false
+    if not 0 < math.prod(len(pool) for pool in pools.values()) <= limit:
+        return None
+    variables = tuple(null() for _ in pools)
+    positions = {attribute: i for i, attribute in enumerate(pools)}
+    cond = resolve(pred, positions, variables)
+    domains = {
+        id(variable): tuple(pool)
+        for variable, pool in zip(variables, pools.values())
+    }
+    return grounded_truth(cond, domains)
 
 
 def _select_verdict(
@@ -572,15 +539,12 @@ def _select_verdict(
     if not gate:
         return None
     # domain-independent contradiction: mentioned constants plus one
-    # *shared* fresh sentinel per referenced attribute is a complete
-    # small model for equality logic — k sentinels visible to every
+    # *shared* fresh value per referenced attribute is a complete
+    # small model for equality logic — k fresh values visible to every
     # attribute realize each equality pattern among k variables
-    # (per-attribute private sentinels would brand `A = B` unsatisfiable)
-    constants = _mentioned_constants(pred)
-    sentinels = tuple(_Sentinel() for _ in refs)
-    logical_pools = {a: constants + sentinels for a in refs}
-    profile = _pred_profile(pred, logical_pools)
-    if profile is not None and not profile[0]:
+    # (per-attribute private ones would brand `A = B` unsatisfiable)
+    shared = mentioned_constants(pred) + fresh_values(len(refs))
+    if _pred_truth(pred, {a: shared for a in refs}) is FALSE:
         return "contradiction"
     # domain-level verdicts need a verified value superset per attribute
     verified: Dict[str, Sequence[Any]] = {}
@@ -589,13 +553,10 @@ def _select_verdict(
         if not pool or _is_open_pool(pool):
             return None
         verified[attribute] = pool
-    profile = _pred_profile(pred, verified)
-    if profile is None:
-        return None
-    saw_true, saw_false = profile
-    if not saw_true:
+    truth = _pred_truth(pred, verified)
+    if truth is FALSE:
         return "contradiction"
-    if not saw_false:
+    if truth is TRUE:
         return "tautology"
     return None
 
@@ -613,7 +574,12 @@ class PlanInfo:
     facts: Facts
     children: Tuple["PlanInfo", ...]
     label: str
-    keys: Tuple[Tuple[str, ...], ...] = ()
+
+    @property
+    def keys(self) -> Tuple[Tuple[str, ...], ...]:
+        """Candidate keys of the node's output, from its FDs — inferred
+        on read, since only EXPLAIN shows them."""
+        return _candidate_keys(self.facts)
 
 
 def pred_text(pred: Pred) -> str:
@@ -696,7 +662,6 @@ def _analyze(node: Node, ctx: _Ctx) -> PlanInfo:
         facts=facts,
         children=children,
         label=_node_label(node, child_facts),
-        keys=_candidate_keys(facts),
     )
 
 
@@ -1011,10 +976,9 @@ def render_plan(plan: Plan) -> str:
             parts.append(
                 "nullable=" + ",".join(sorted(facts.nullable))
             )
-        if info.keys:
-            rendered = " ".join(
-                "(" + " ".join(key) + ")" for key in info.keys
-            )
+        keys = info.keys
+        if keys:
+            rendered = " ".join("(" + " ".join(key) + ")" for key in keys)
             parts.append(f"keys={rendered}")
         if facts.empty:
             parts.append("EMPTY")

@@ -300,14 +300,14 @@ class TestEvaluatorAudit:
             )
 
     def test_unregistered_null_in_a_condition_detected(self):
-        from repro.nullsem.queries import Eq
-        from repro.query.evaluate import CRow, _pred_cond
+        from repro.nullsem.queries import Eq, resolve
+        from repro.query.evaluate import CRow
 
         audit, evaluator, attrs, crows, certain, maybe = (
             self.evaluator_parts()
         )
         stranger = null()
-        cond = _pred_cond(Eq("B", "b1"), {"B": 1}, ("a9", stranger))
+        cond = resolve(Eq("B", "b1"), {"B": 1}, ("a9", stranger))
         tampered = crows + [CRow(("a9", stranger), cond)]
         with pytest.raises(SanitizerError, match="unregistered null"):
             audit(evaluator, attrs, tampered, certain, maybe)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core.values import NOTHING, is_null, null
 from repro.errors import InconsistentInstanceError
 from repro.query import collect_stats, parse_query
-from repro.query.conditions import kleene
+from repro.core.conditions import kleene
 from repro.query.evaluate import Evaluator
 
 from ..helpers import rel
