@@ -20,11 +20,11 @@ Two series over the query layer (`repro.query`):
   kleene-certain ⊆ least-certain and least-possible ⊆ kleene-possible,
   with the promoted rows exactly the null-density share.
 
-* **Q1c — the planner's equi-join vs the naive nested loop**: the same
+* **Q1c — the bucket equi-join vs the naive nested loop**: the same
   instances joined twice, once through the default evaluator (the
-  optimizer routes the shared-attribute join through signature buckets,
-  nulls bucketed by identity) and once with the planner and hash joins
-  disabled (pure nested loop).  Field-identity asserts compare both
+  shared-attribute join routed through signature buckets, nulls
+  bucketed by identity) and once with hash joins disabled (pure nested
+  loop).  Field-identity asserts compare both
   answers null-by-identity on every rung; at the largest configuration
   the bucket join must clear 2x.
 
@@ -170,15 +170,12 @@ def evaluation_ladder() -> None:
           + " ".join(f"{ms:.2f}" for ms in join_by_size))
     print(f"series rows promoted to certain by density: "
           + " ".join(str(count) for count in promoted_by_density))
-    # PR 9 printed this ratio the other way up ("kleene over least"):
-    # exact evaluation trailed the truth-functional pass because it
-    # ground every surviving disjunction.  The planner's least-mode
-    # tautology elimination now drops the domain-exhausting select
-    # statically, so least evaluation is the cheaper of the two here —
-    # the label changed because the thing it measured did.
+    # exact evaluation trails the truth-functional pass: it runs the
+    # same Kleene pass, then grounds every surviving disjunction (the
+    # tree is evaluated as written, so no select is dropped statically)
     print(
-        f"least over kleene evaluation speedup at largest configuration: "
-        f"{kleene_by_size[-1] / least_by_size[-1]:.1f}x"
+        f"kleene over least evaluation speedup at largest configuration: "
+        f"{least_by_size[-1] / kleene_by_size[-1]:.1f}x"
     )
     print(
         f"least-extension promoted {promoted_by_density[-1]} maybe-rows to "
@@ -188,7 +185,7 @@ def evaluation_ladder() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Q1c — optimized equi-join vs the naive nested loop
+# Q1c — bucket equi-join vs the naive nested loop
 # ---------------------------------------------------------------------------
 
 
@@ -216,28 +213,24 @@ def build_selective_env(n_rows: int):
     }
 
 
-def join_once(env, optimize: bool):
-    """One join evaluation, planned or naive.  Kleene tagging keeps the
+def join_once(env, hash_joins: bool):
+    """One join evaluation, bucketed or naive.  Kleene tagging keeps the
     measurement on the join itself (least-mode grounding cost is Q1a's
-    subject, and the optimize-vs-naive identity in BOTH modes is pinned
-    by tests/query/test_optimize.py)."""
-    evaluator = (
-        Evaluator(env)
-        if optimize
-        else Evaluator(env, optimize=False, hash_joins=False)
-    )
+    subject, and the bucket-vs-nested-loop identity in BOTH modes is
+    pinned by tests/query/test_optimize.py)."""
+    evaluator = Evaluator(env, hash_joins=hash_joins)
     node = parse_query(JOIN)
     start = time.perf_counter()
     result = evaluator.run(node, mode=MODE_KLEENE)
     return time.perf_counter() - start, result
 
 
-def optimizer_ladder() -> None:
+def join_ladder() -> None:
     sizes = bench_sizes((100, 200, 400, 800))
     repeat = bench_repeat(3)
 
     table = Table(
-        "Q1c — equi-join: planner bucket strategy vs nested loop",
+        "Q1c — equi-join: bucket strategy vs nested loop",
         ["rows", "naive (ms)", "optimized (ms)", "speedup",
          "certain", "maybe", "answers identical"],
     )
@@ -247,18 +240,18 @@ def optimizer_ladder() -> None:
         plan_text = Evaluator(env).explain(parse_query(JOIN))
         if "strategy=bucket(C)" not in plan_text:
             raise SystemExit(
-                f"planner did not route the equi-join through buckets:\n"
+                f"EXPLAIN does not show the equi-join routed through buckets:\n"
                 f"{plan_text}"
             )
         naive_t, naive_r = min(
-            (join_once(env, optimize=False) for _ in range(repeat)),
+            (join_once(env, hash_joins=False) for _ in range(repeat)),
             key=lambda pair: pair[0],
         )
         optimized_t, optimized_r = min(
-            (join_once(env, optimize=True) for _ in range(repeat)),
+            (join_once(env, hash_joins=True) for _ in range(repeat)),
             key=lambda pair: pair[0],
         )
-        # field identity, nulls by identity: the rewrite is an equivalence
+        # field identity, nulls by identity: bucketing is an equivalence
         identical = all(
             row_keys(getattr(optimized_r, side))
             == row_keys(getattr(naive_r, side))
@@ -414,12 +407,12 @@ def reader_series() -> None:
 
 def main() -> None:
     evaluation_ladder()
-    optimizer_ladder()
+    join_ladder()
     reader_series()
     print(
         "\nLeast-extension evaluation recovered every domain-exhausted"
-        "\ncertain answer Kleene evaluation left as maybe, the planner's"
-        "\nbucket join matched the nested loop field for field, and query"
+        "\ncertain answer Kleene evaluation left as maybe, the bucket"
+        "\njoin matched the nested loop field for field, and query"
         "\nreaders never held the writer."
     )
 

@@ -1,16 +1,14 @@
-"""Tour of the FD-aware query planner: EXPLAIN, rewrites, plan lint.
+"""Tour of the FD-aware query analysis: EXPLAIN, plan lint, the server.
 
-Walks the PR 10 surface end to end:
+Walks the surface end to end:
 
-1. ``EXPLAIN``: the optimizer's plan rendered with inferred keys (from
-   the relations' FDs), join strategies, and the rewrites it applied;
-2. proved-equivalent rewrites — a contradictory select collapses to an
-   ``Empty`` node statically, a select over a join is pushed below the
-   join — with the optimized answer pinned field-identical (nulls by
-   identity) to brute-force unoptimized evaluation;
-3. the plan linter: one three-line script triggers ``W_CROSS_PRODUCT``,
+1. ``EXPLAIN``: the query tree as written, annotated with inferred keys
+   (from the relations' FDs), null-flow, join strategies and bounds;
+   the bucket equi-join it shows answers field-identically (nulls by
+   identity) to the naive nested loop;
+2. the plan linter: one three-line script triggers ``W_CROSS_PRODUCT``,
    ``E_EMPTY_CERTAIN``, and ``W_GROUND_BLOWUP``, each on its own line;
-4. the server: ``explain: true`` answers lease-free, and a statically
+3. the server: ``explain: true`` answers lease-free, and a statically
    dead query is refused by lint *before any lease is taken*.
 
 Run: ``PYTHONPATH=src python examples/optimize_tour.py``
@@ -47,40 +45,27 @@ fds = {
 }
 
 # ---------------------------------------------------------------------------
-# 1. EXPLAIN: inferred keys, join strategy, applied rewrites
+# 1. EXPLAIN: inferred keys, join strategy, the tree as written
 # ---------------------------------------------------------------------------
 
 banner("EXPLAIN: keys inferred from FDs, equi-join routed through buckets")
 
-evaluator = Evaluator(env, fds=fds)
-plan_text = evaluator.explain(parse_query("(emp join mgr) where boss = 'dana'"))
+query = parse_query("(emp join mgr) where boss = 'dana'")
+plan_text = Evaluator(env, fds=fds).explain(query)
 print(plan_text)
 assert "strategy=bucket(dept)" in plan_text  # equi-join, not nested loop
 assert "keys=(name)" in plan_text            # name -> dept makes name a key
-assert "select-pushdown(join)" in plan_text  # boss filter moved below join
+
+bucketed = Evaluator(env, fds=fds).run(query)
+naive = Evaluator(env, hash_joins=False).run(query)
+for side in ("certain", "maybe"):
+    fast = [tuple(map(str, r)) for r in getattr(bucketed, side).rows]
+    slow = [tuple(map(str, r)) for r in getattr(naive, side).rows]
+    assert fast == slow, side
+print("bucket-join answers are field-identical to naive evaluation: True")
 
 # ---------------------------------------------------------------------------
-# 2. rewrites are proved-equivalent: optimized == unoptimized, field by field
-# ---------------------------------------------------------------------------
-
-banner("a contradiction is eliminated statically, answers stay identical")
-
-dead = parse_query("emp where dept = 'sales' and dept != 'sales'")
-print(evaluator.explain(dead))
-assert "Empty" in evaluator.explain(dead)
-
-for text in ("(emp join mgr) where boss = 'dana'", "emp where dept = 'eng'"):
-    node = parse_query(text)
-    optimized = Evaluator(env, fds=fds).run(node)
-    naive = Evaluator(env, optimize=False, hash_joins=False).run(node)
-    for side in ("certain", "maybe"):
-        fast = [tuple(map(str, r)) for r in getattr(optimized, side).rows]
-        slow = [tuple(map(str, r)) for r in getattr(naive, side).rows]
-        assert sorted(fast) == sorted(slow), (text, side)
-print("optimized answers are field-identical to naive evaluation: True")
-
-# ---------------------------------------------------------------------------
-# 3. the plan linter: every code fires on its own line, statically
+# 2. the plan linter: every code fires on its own line, statically
 # ---------------------------------------------------------------------------
 
 banner("plan lint: a three-line script, three findings with line numbers")
@@ -106,7 +91,7 @@ assert [(d.line, d.code) for d in findings] == [
 print(f"findings: {len(findings)}, nothing was evaluated")
 
 # ---------------------------------------------------------------------------
-# 4. the server lints (and explains) before any lease
+# 3. the server lints (and explains) before any lease
 # ---------------------------------------------------------------------------
 
 banner("server: explain is lease-free, dead queries refused pre-lease")

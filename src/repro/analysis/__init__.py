@@ -17,7 +17,7 @@ leaves a change behind:
   reporting, and the server's batch fast-reject payload;
 * :mod:`repro.analysis.plan` — the query-plan linter: coded findings
   (``W_CROSS_PRODUCT`` / ``W_GROUND_BLOWUP`` / ``E_EMPTY_CERTAIN`` /
-  ``W_DEAD_BRANCH``) over the facts the static planner
+  ``W_DEAD_BRANCH``) over the facts the static analysis
   (:mod:`repro.query.optimize`) infers, wired into ``repro lint
   --query``, the REPL, and the server ``query`` verb;
 * :mod:`repro.analysis.sanitize` — the opt-in (``REPRO_SANITIZE=1``)

@@ -2,7 +2,10 @@
 
 PR 8's :mod:`repro.analysis.check` decides mutation scripts before the
 engine runs them; this pass does the same for query trees, reading the
-facts :func:`repro.query.optimize.analyze` infers bottom-up:
+facts :func:`repro.query.optimize.optimize_tree` infers bottom-up over
+the tree as written.  It is the one caller that analyzes every served
+query (the evaluator runs the tree without planning it; ``EXPLAIN``
+renders the same analysis):
 
 * ``E_EMPTY_CERTAIN`` (error) — the subtree is statically
   unsatisfiable: under the analysis gate (definite attributes, or
@@ -75,13 +78,11 @@ def lint_query_plan(
     are unknown, so only domain-independent findings fire.
     """
     from ..query.evaluate import DEFAULT_LIMIT
-    from ..query.optimize import PlanInfo, analyze
+    from ..query.optimize import PlanInfo, optimize_tree
     from ..query.algebra import Join, Union
 
     budget = DEFAULT_LIMIT if limit is None else limit
-    info = analyze(
-        node, catalog, stats=stats, fds=fds, mode=mode, limit=budget
-    )
+    info = optimize_tree(node, catalog, stats=stats, fds=fds, mode=mode)
     diagnostics: List[Diagnostic] = []
 
     def walk(current: PlanInfo, parent: Optional[PlanInfo]) -> None:

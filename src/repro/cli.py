@@ -86,12 +86,12 @@ from .explain import explain_chase, explain_outcome
 from .normalization import bcnf_decompose, synthesize_3nf
 from .opschema import (
     MUTATION_VERBS,
+    SessionTarget,
     apply_op,
     parse_cell,
     parse_op,
     require_durable,
 )
-from .opschema import SessionTarget as _SessionTarget
 from .testfd import CONVENTION_STRONG, CONVENTION_WEAK, TESTFD_METHODS, check_fds
 
 
@@ -179,7 +179,7 @@ _ECHO = {
 def run_script(target, lines: Sequence[str]) -> None:
     """Execute an op script against a session-shaped target.
 
-    ``target`` is a :class:`_SessionTarget` or a durable
+    ``target`` is a :class:`~repro.opschema.SessionTarget` or a durable
     :class:`repro.db.ManagedRelation`.  Each line is parsed by
     :func:`repro.opschema.parse_op` — the parser ``repro lint`` uses —
     and each mutation applied by :func:`repro.opschema.apply_op`.  A
@@ -252,7 +252,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
     else:
         raise ReproError("session needs --data or --attrs")
 
-    target = _SessionTarget(session)
+    target = SessionTarget(session)
     status = 0
     try:
         run_script(target, _read_script(args.script))
@@ -360,9 +360,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
         if not env:
             raise ReproError("query needs a source: --db DIR and/or --csv")
-        optimize = not args.no_optimize
         if args.expr:
-            evaluator = Evaluator(env, fds=fds or None, optimize=optimize)
+            evaluator = Evaluator(env, fds=fds or None)
             node = parse_query(args.expr)
             if args.explain:
                 print(evaluator.explain(node, mode=args.mode))
@@ -375,8 +374,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 "--explain needs -e EXPR (in the shell, use `explain Q`)"
             )
         if args.script:
-            repl = QueryRepl(env, mode=args.mode, fds=fds or None,
-                             optimize=optimize)
+            repl = QueryRepl(env, mode=args.mode, fds=fds or None)
             failed = False
             for line in _read_script(args.script):
                 block = repl.execute(line)
@@ -389,7 +387,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.repl or sys.stdin.isatty():
             print("repro query shell — .help for help, .quit to leave")
             run_repl(env, sys.stdin, sys.stdout, mode=args.mode,
-                     prompt="query> ", fds=fds or None, optimize=optimize)
+                     prompt="query> ", fds=fds or None)
             print()
             return 0
         raise ReproError("query needs -e EXPR, --script FILE, or --repl")
@@ -709,14 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--explain",
         action="store_true",
-        help="with -e: print the optimized plan (inferred keys, join "
-        "strategies, fired rewrites) instead of evaluating",
-    )
-    query.add_argument(
-        "--no-optimize",
-        action="store_true",
-        help="evaluate the query tree exactly as written (no rewrites, "
-        "nested-loop joins)",
+        help="with -e: print the plan (the tree as written, with inferred "
+        "keys, join strategies and bounds) instead of evaluating",
     )
     query.set_defaults(func=_cmd_query)
 

@@ -106,7 +106,7 @@ OPS: Tuple[OpSpec, ...] = (
     OpSpec("query", "read", False, True, scope="database",
            wire_rank=6,
            summary="relational-algebra query with certain/maybe answers; "
-           "plan-linted before any lease, optimized before evaluation, "
+           "plan-linted before any lease, "
            "`explain: true` returns the plan instead"),
 )
 

@@ -18,11 +18,11 @@ layer, one condition per derived row:
   propagated by identity so a null shared across relations equates
   across a join; plus the ground answer sets the differential test
   suite compares against brute-force completion enumeration;
-* :mod:`~repro.query.optimize` — the static planner: bottom-up fact
-  inference (schemas, null-flow, verified value supersets, FD/key
-  propagation, grounding-space bounds) feeding proved-equivalent
-  rewrites (select/projection pushdown, tautology/contradiction
-  elimination, cross-product fusion) and ``EXPLAIN`` rendering;
+* :mod:`~repro.query.optimize` — static analysis: one bottom-up pass
+  of fact inference over the tree as written (schemas, null-flow,
+  verified value supersets, FD/key propagation, grounding-space bounds,
+  statically unsatisfiable subtrees) that the plan linter walks and
+  ``EXPLAIN`` renders;
 * :mod:`~repro.query.parser` — the concrete syntax behind ``repro
   query`` and the REPL;
 * :mod:`~repro.query.repl` — the interactive shell.
@@ -33,7 +33,6 @@ relations and usable as chase/session inputs.
 
 from .algebra import (
     Difference,
-    Empty,
     Join,
     Node,
     Project,
@@ -53,10 +52,8 @@ from .evaluate import (
     ground_answers,
 )
 from .optimize import (
-    Plan,
     PlanInfo,
     RelationStats,
-    analyze,
     collect_stats,
     optimize_tree,
     render_plan,
@@ -65,13 +62,11 @@ from .parser import QueryParseError, parse_query, parse_statement
 
 __all__ = [
     "Difference",
-    "Empty",
     "Evaluator",
     "Join",
     "MODE_KLEENE",
     "MODE_LEAST",
     "Node",
-    "Plan",
     "PlanInfo",
     "Project",
     "QueryError",
@@ -81,7 +76,6 @@ __all__ = [
     "Scan",
     "Select",
     "Union",
-    "analyze",
     "collect_stats",
     "evaluate",
     "ground_answers",

@@ -111,19 +111,15 @@ class Difference(Node):
     right: Node
 
 
-@dataclass(frozen=True)
-class Empty(Node):
-    """A statically empty relation over a fixed scheme.
-
-    Not parseable — the optimizer introduces it when a subtree is proved
-    unsatisfiable (contradictory select, empty difference remainder), so
-    downstream rewrites can cascade (``Join(Empty, x) → Empty``,
-    ``Union(Empty, x) → x``) and the plan linter can point at the
-    original site with ``E_EMPTY_CERTAIN`` / ``W_DEAD_BRANCH``.
-    """
-
-    __slots__ = ("attributes",)
-    attributes: Tuple[str, ...]
+def operands(node: Node) -> Tuple[Node, ...]:
+    """A node's input subtrees, left to right (none for a scan)."""
+    if isinstance(node, Scan):
+        return ()
+    if isinstance(node, (Select, Project, Rename)):
+        return (node.source,)
+    if isinstance(node, (Join, Union, Difference)):
+        return (node.left, node.right)
+    raise QueryError(f"not a query node: {node!r}")
 
 
 def relation_names(node: Node) -> Tuple[str, ...]:
@@ -133,15 +129,8 @@ def relation_names(node: Node) -> Tuple[str, ...]:
     def walk(current: Node) -> None:
         if isinstance(current, Scan):
             seen.setdefault(current.name)
-        elif isinstance(current, Empty):
-            pass
-        elif isinstance(current, (Select, Project, Rename)):
-            walk(current.source)
-        elif isinstance(current, (Join, Union, Difference)):
-            walk(current.left)
-            walk(current.right)
-        else:
-            raise QueryError(f"not a query node: {current!r}")
+        for child in operands(current):
+            walk(child)
 
     walk(node)
     return tuple(seen)
@@ -187,15 +176,6 @@ def _check(
             )
         return schema.attributes, {
             attr: schema.domain(attr) for attr in schema.attributes
-        }
-
-    if isinstance(node, Empty):
-        if not node.attributes:
-            raise QueryError(
-                "empty relation needs at least one attribute", code="E_ARITY"
-            )
-        return tuple(node.attributes), {
-            attr: UNBOUNDED for attr in node.attributes
         }
 
     if isinstance(node, Select):

@@ -79,7 +79,6 @@ from ..errors import InconsistentInstanceError
 from ..nullsem.queries import resolve
 from .algebra import (
     Difference,
-    Empty,
     Join,
     Node,
     Project,
@@ -153,7 +152,11 @@ class Evaluator:
     cells), not a column scan per null.  ``stats`` maps relation name →
     stats a caller already holds for exactly that relation (the server's
     read view at the relation's cut); a relation without them is scanned
-    here, once.  :meth:`plan` reuses the same stats.
+    here, once.  :meth:`explain` reuses the same stats.
+
+    Every query is evaluated as written: :meth:`run` tags the rows of
+    the same conditional table :meth:`symbolic` returns, the surface the
+    differential suites hold to brute-force completion enumeration.
     """
 
     def __init__(
@@ -161,7 +164,6 @@ class Evaluator:
         env: Mapping[str, Relation],
         limit: int = DEFAULT_LIMIT,
         fds: Optional[Mapping[str, Any]] = None,
-        optimize: bool = True,
         hash_joins: bool = True,
         stats: Optional[Mapping[str, Any]] = None,
     ) -> None:
@@ -172,13 +174,9 @@ class Evaluator:
         #: relation name → FD set (optional; informs key inference in
         #: EXPLAIN output, never correctness)
         self.fds: Dict[str, Any] = dict(fds) if fds else {}
-        #: apply proved-equivalent tree rewrites before evaluation
-        self.optimize = optimize
         #: route natural joins through constant-key buckets (pair order
         #: is pinned identical to the nested loop)
         self.hash_joins = hash_joins
-        #: the :class:`~repro.query.optimize.Plan` of the last ``run()``
-        self.last_plan: Optional[Any] = None
         given = stats or {}
         #: relation name → :class:`~repro.query.optimize.RelationStats`
         self._stats: Dict[str, Any] = {
@@ -215,12 +213,8 @@ class Evaluator:
     def symbolic(
         self, node: Node
     ) -> Tuple[Tuple[str, ...], List[CRow]]:
-        """The conditional-table result: attributes + conditional rows.
-
-        Always evaluates the tree *as given* (no rewrites) — this is the
-        oracle surface the differential suites compare against, so it
-        stays independent of the optimizer.
-        """
+        """The conditional-table result: attributes + conditional rows —
+        the surface the differential suites compare against."""
         self.schema(node)  # static check first; errors carry lint codes
         return self._eval(node)
 
@@ -228,28 +222,17 @@ class Evaluator:
         """Per-relation instance statistics: the ones construction read."""
         return self._stats
 
-    def plan(self, node: Node, mode: str = MODE_LEAST) -> Any:
-        """The optimized :class:`~repro.query.optimize.Plan` for ``node``."""
-        from .optimize import optimize_tree
+    def explain(self, node: Node, mode: str = MODE_LEAST) -> str:
+        """Human-readable plan: the tree as written, with inferred keys,
+        null-flow, join strategies and bounds."""
+        from .optimize import optimize_tree, render_plan
 
         catalog = {name: rel.schema for name, rel in self.env.items()}
-        hazard_free = all(pool for pool in self.domains.values())
-        return optimize_tree(
-            node,
-            catalog,
-            stats=self.stats(),
-            fds=self.fds,
-            mode=mode,
-            limit=self.limit,
-            least_safe=hazard_free,
+        return render_plan(
+            optimize_tree(
+                node, catalog, stats=self.stats(), fds=self.fds, mode=mode
+            )
         )
-
-    def explain(self, node: Node, mode: str = MODE_LEAST) -> str:
-        """Human-readable plan: optimized tree, inferred keys, strategies."""
-        from .optimize import render_plan
-
-        self.schema(node)  # static check first; errors carry lint codes
-        return render_plan(self.plan(node, mode=mode))
 
     def run(
         self,
@@ -263,21 +246,8 @@ class Evaluator:
             raise QueryError(
                 f"unknown evaluation mode {mode!r}; expected one of {_MODES}"
             )
-        # the answer scheme (attribute order, domains metadata) always
-        # comes from the tree as written, not from the rewritten plan
         schema = self.schema(node)
-        target: Node = node
-        self.last_plan = None
-        if self.optimize:
-            plan = self.plan(node, mode=mode)
-            self.last_plan = plan
-            target = plan.node
-        attrs, crows = self._eval(target)
-        if attrs != schema.attributes:  # pragma: no cover - rewrite bug guard
-            raise QueryError(
-                f"optimizer changed the output scheme: {attrs} vs "
-                f"{schema.attributes}"
-            )
+        attrs, crows = self._eval(node)
         certain_rows: List[Tuple[Any, ...]] = []
         maybe_rows: List[Tuple[Any, ...]] = []
         least = mode == MODE_LEAST
@@ -480,9 +450,6 @@ class Evaluator:
                     continue
                 out.append(CRow(lrow.values, all_of(parts), truth))
             return left_attrs, _dedup(out)
-
-        if isinstance(node, Empty):
-            return tuple(node.attributes), []
 
         raise QueryError(f"not a query node: {node!r}")
 

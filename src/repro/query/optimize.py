@@ -1,43 +1,26 @@
-"""FD-aware static analysis and proved-equivalent rewriting of query trees.
+"""FD-aware static analysis of query trees: one bottom-up pass.
 
-Two layers over the :mod:`~repro.query.algebra` AST, both purely static
-(no conditional row is ever built here):
+:func:`optimize_tree` propagates inferred facts through every node of
+the tree as written — no node is rewritten, and no conditional row is
+ever built here: output scheme, null-flow (which columns can still
+carry a null, per instance statistics), a verified finite *superset* of
+the values each column can take (observed constants ∪ the column's
+enumeration domain — the instance is the authority, since declared
+domains are not enforced on constants), FD sets carried through the
+classical propagation rules (and candidate keys from them, inferred on
+read), row-count bounds, grounding-space bounds for the conditions
+least-mode evaluation would have to ground, and which subtrees are
+statically unsatisfiable.  :class:`PlanInfo` is the annotated tree the
+plan linter (:mod:`repro.analysis.plan`) walks and ``EXPLAIN``
+(:func:`render_plan`) renders.
 
-* **analysis** — :func:`analyze` propagates inferred facts bottom-up
-  through every node: output scheme, null-flow (which columns can still
-  carry a null, per instance statistics), a verified finite *superset*
-  of the values each column can take (observed constants ∪ the column's
-  enumeration domain — the instance is the authority, since declared
-  domains are not enforced on constants), FD sets carried through the
-  classical propagation rules (and candidate keys from them), row-count
-  bounds, and grounding-space bounds for the conditions least-mode
-  evaluation would have to ground.  :class:`PlanInfo` is the annotated
-  tree the plan linter (:mod:`repro.analysis.plan`) and ``EXPLAIN``
-  read.
-
-* **rewriting** — :func:`optimize_tree` applies equivalence-preserving
-  rewrites: select pushdown (through join sides that avoid shared
-  attributes, through union arms, into the left side of a difference,
-  below projections), projection pushdown (narrowing join inputs to
-  needed ∪ shared, through unions, collapsing stacked projections),
-  condition simplification (tautology and contradiction elimination,
-  gated — see below), :class:`~repro.query.algebra.Empty` cascades, and
-  cross-product fusion (reordering a pure cross chain by estimated
-  cardinality).  Every fired rewrite is recorded by name on the
-  returned :class:`Plan`.
-
-**The gate.**  Tautology/contradiction elimination changes which
-conditions the evaluator grounds, so it is only applied when provably
-invisible: either every attribute the predicate references is
-*definite* (cannot carry a null, so Kleene evaluation is already
-two-valued), or the evaluation mode is least-extension (where a
-predicate true/false under every grounding is exactly true/false) *and*
-the caller vouches that no environment null has an empty consistent
-domain (``least_safe`` — otherwise eliminating a condition could mask
-the :class:`~repro.errors.DomainError` unoptimized evaluation raises).
-Kleene mode keeps conditions over nullable columns untouched: a
-domain-exhausting disjunction reads *unknown* there, and rewriting it
-away would change answers.
+**The gate.**  A select is branded unsatisfiable only when that is
+provably mode-independent: either every attribute the predicate
+references is *definite* (cannot carry a null, so Kleene evaluation is
+already two-valued), or the evaluation mode is least-extension (where a
+predicate false under every grounding is exactly false).  Kleene mode
+keeps conditions over nullable columns undecided: a contradiction over
+a null reads *unknown* there, not false.
 
 Satisfiability itself goes through the least-extension kernel,
 :mod:`~repro.core.conditions`: the predicate is resolved against a row
@@ -68,7 +51,7 @@ from ..core.domain import _FRESH_PREFIX, Domain
 from ..core.fd import FD, as_fd
 from ..core.relation import Relation
 from ..core.schema import RelationSchema
-from ..core.truth import FALSE, TRUE, TruthValue
+from ..core.truth import FALSE, TruthValue
 from ..core.values import NOTHING, Null, is_null, null
 from ..nullsem.queries import (
     AndP,
@@ -84,7 +67,6 @@ from ..nullsem.queries import (
 )
 from .algebra import (
     Difference,
-    Empty,
     Join,
     Node,
     Project,
@@ -93,9 +75,10 @@ from .algebra import (
     Scan,
     Select,
     Union,
+    operands,
     output_schema,
 )
-from .evaluate import DEFAULT_LIMIT, MODE_LEAST
+from .evaluate import MODE_LEAST
 
 #: combinatorial cap on small-model satisfiability enumeration
 SAT_LIMIT = 4096
@@ -207,7 +190,7 @@ class Facts:
 class _Ctx:
     """Shared analysis parameters."""
 
-    __slots__ = ("catalog", "stats", "fds", "mode", "limit", "least_safe")
+    __slots__ = ("catalog", "stats", "fds", "mode")
 
     def __init__(
         self,
@@ -215,29 +198,11 @@ class _Ctx:
         stats: Mapping[str, RelationStats],
         fds: Mapping[str, Any],
         mode: str,
-        limit: int,
-        least_safe: bool,
     ) -> None:
         self.catalog = catalog
         self.stats = stats
         self.fds = fds
         self.mode = mode
-        self.limit = limit
-        self.least_safe = least_safe
-
-    def facts(self, node: Node) -> Facts:
-        children = _children(node)
-        return _facts_of(node, [self.facts(c) for c in children], self)
-
-
-def _children(node: Node) -> Tuple[Node, ...]:
-    if isinstance(node, (Scan, Empty)):
-        return ()
-    if isinstance(node, (Select, Project, Rename)):
-        return (node.source,)
-    if isinstance(node, (Join, Union, Difference)):
-        return (node.left, node.right)
-    raise QueryError(f"not a query node: {node!r}")
 
 
 def _dsize(facts: Facts, attribute: str) -> int:
@@ -304,26 +269,12 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
             fds=fd_tuple,
         )
 
-    if isinstance(node, Empty):
-        attrs = tuple(node.attributes)
-        return Facts(
-            attrs=attrs,
-            nullable=frozenset(),
-            pools={a: () for a in attrs},
-            est_rows=0,
-            ground_space=1,
-            null_space=1,
-            empty=True,
-            fds=(),
-        )
-
     if isinstance(node, Select):
         (child,) = children
         space = child.ground_space
         for attribute in referenced_attributes(node.pred):
             if attribute in child.nullable:
                 space = _cap(space * _dsize(child, attribute))
-        verdict = _select_verdict(node.pred, child, ctx)
         return Facts(
             attrs=child.attrs,
             nullable=child.nullable,
@@ -331,7 +282,8 @@ def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
             est_rows=child.est_rows,
             ground_space=space,
             null_space=child.null_space,
-            empty=child.empty or verdict == "contradiction",
+            empty=child.empty
+            or _unsatisfiable(node.pred, child, ctx.mode),
             fds=child.fds,
         )
 
@@ -529,15 +481,12 @@ def _pred_truth(
     return grounded_truth(cond, domains)
 
 
-def _select_verdict(
-    pred: Pred, child: Facts, ctx: _Ctx
-) -> Optional[str]:
-    """``"tautology"`` / ``"contradiction"`` / None, under the gate."""
+def _unsatisfiable(pred: Pred, child: Facts, mode: str) -> bool:
+    """True when ``pred`` is provably false on every row of ``child``,
+    under the gate."""
     refs = tuple(referenced_attributes(pred))
-    definite = all(a not in child.nullable for a in refs)
-    gate = definite or (ctx.mode == MODE_LEAST and ctx.least_safe)
-    if not gate:
-        return None
+    if mode != MODE_LEAST and any(a in child.nullable for a in refs):
+        return False
     # domain-independent contradiction: mentioned constants plus one
     # *shared* fresh value per referenced attribute is a complete
     # small model for equality logic — k fresh values visible to every
@@ -545,20 +494,15 @@ def _select_verdict(
     # (per-attribute private ones would brand `A = B` unsatisfiable)
     shared = mentioned_constants(pred) + fresh_values(len(refs))
     if _pred_truth(pred, {a: shared for a in refs}) is FALSE:
-        return "contradiction"
+        return True
     # domain-level verdicts need a verified value superset per attribute
     verified: Dict[str, Sequence[Any]] = {}
     for attribute in refs:
         pool = child.pools.get(attribute)
         if not pool or _is_open_pool(pool):
-            return None
+            return False
         verified[attribute] = pool
-    truth = _pred_truth(pred, verified)
-    if truth is FALSE:
-        return "contradiction"
-    if truth is TRUE:
-        return "tautology"
-    return None
+    return _pred_truth(pred, verified) is FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +549,6 @@ def pred_text(pred: Pred) -> str:
 def _node_label(node: Node, children: Sequence[Facts]) -> str:
     if isinstance(node, Scan):
         return f"Scan {node.name}"
-    if isinstance(node, Empty):
-        return f"Empty [{' '.join(node.attributes)}]"
     if isinstance(node, Select):
         return f"Select {pred_text(node.pred)}"
     if isinstance(node, Project):
@@ -638,23 +580,27 @@ def _candidate_keys(facts: Facts) -> Tuple[Tuple[str, ...], ...]:
         return ()
 
 
-def analyze(
+# name kept: perfbench wraps it as query.optimize.plan, required by CI's smoke
+def optimize_tree(
     node: Node,
     catalog: Mapping[str, RelationSchema],
     stats: Optional[Mapping[str, RelationStats]] = None,
     fds: Optional[Mapping[str, Any]] = None,
     mode: str = MODE_LEAST,
-    limit: int = DEFAULT_LIMIT,
-    least_safe: bool = True,
 ) -> PlanInfo:
-    """Annotate a (validated) tree with inferred facts, bottom-up."""
+    """Annotate a tree, as written, with inferred facts, bottom-up.
+
+    ``catalog`` maps relation name → scheme, ``stats`` relation name →
+    :class:`RelationStats` (without them every column is nullable and
+    no bound is known) and ``fds`` relation name → FD set (for key
+    inference).  The tree is schema-checked first.
+    """
     output_schema(node, catalog)
-    ctx = _Ctx(catalog, stats or {}, fds or {}, mode, limit, least_safe)
-    return _analyze(node, ctx)
+    return _analyze(node, _Ctx(catalog, stats or {}, fds or {}, mode))
 
 
 def _analyze(node: Node, ctx: _Ctx) -> PlanInfo:
-    children = tuple(_analyze(child, ctx) for child in _children(node))
+    children = tuple(_analyze(child, ctx) for child in operands(node))
     child_facts = [info.facts for info in children]
     facts = _facts_of(node, child_facts, ctx)
     return PlanInfo(
@@ -666,305 +612,13 @@ def _analyze(node: Node, ctx: _Ctx) -> PlanInfo:
 
 
 # ---------------------------------------------------------------------------
-# rewrites
-# ---------------------------------------------------------------------------
-
-
-def _conjuncts(pred: Pred) -> List[Pred]:
-    if isinstance(pred, AndP):
-        out: List[Pred] = []
-        for operand in pred.operands:
-            out.extend(_conjuncts(operand))
-        return out
-    return [pred]
-
-
-def _conj(preds: Sequence[Pred]) -> Pred:
-    if len(preds) == 1:
-        return preds[0]
-    return AndP(tuple(preds))
-
-
-def _simplify_selects(node: Node, ctx: _Ctx, fired: List[str]) -> Node:
-    if isinstance(node, Select):
-        source = _simplify_selects(node.source, ctx, fired)
-        child = ctx.facts(source)
-        verdict = _select_verdict(node.pred, child, ctx)
-        if verdict == "tautology":
-            fired.append("tautology-elimination")
-            return source
-        if verdict == "contradiction":
-            fired.append("contradiction-elimination")
-            return Empty(child.attrs)
-        return Select(source, node.pred)
-    return _rebuild(node, ctx, fired, _simplify_selects)
-
-
-def _cascade_empty(node: Node, ctx: _Ctx, fired: List[str]) -> Node:
-    rebuilt = _rebuild(node, ctx, fired, _cascade_empty)
-    if isinstance(rebuilt, (Select, Project, Rename)) and isinstance(
-        rebuilt.source, Empty
-    ):
-        fired.append("empty-cascade")
-        return Empty(ctx.facts(rebuilt).attrs)
-    if isinstance(rebuilt, Join) and (
-        isinstance(rebuilt.left, Empty) or isinstance(rebuilt.right, Empty)
-    ):
-        fired.append("empty-cascade")
-        return Empty(ctx.facts(rebuilt).attrs)
-    if isinstance(rebuilt, Union):
-        if isinstance(rebuilt.left, Empty):
-            fired.append("dead-branch-elimination")
-            return rebuilt.right
-        if isinstance(rebuilt.right, Empty):
-            fired.append("dead-branch-elimination")
-            return rebuilt.left
-    if isinstance(rebuilt, Difference):
-        if isinstance(rebuilt.left, Empty):
-            fired.append("empty-cascade")
-            return Empty(ctx.facts(rebuilt).attrs)
-        if isinstance(rebuilt.right, Empty):
-            fired.append("difference-identity")
-            return rebuilt.left
-    return rebuilt
-
-
-def _push_selects(node: Node, ctx: _Ctx, fired: List[str]) -> Node:
-    if isinstance(node, Select):
-        source = _push_selects(node.source, ctx, fired)
-        if isinstance(source, Join):
-            left_facts = ctx.facts(source.left)
-            right_facts = ctx.facts(source.right)
-            shared = set(left_facts.attrs) & set(right_facts.attrs)
-            left_only = set(left_facts.attrs) - shared
-            right_only = set(right_facts.attrs) - shared
-            to_left: List[Pred] = []
-            to_right: List[Pred] = []
-            keep: List[Pred] = []
-            for conjunct in _conjuncts(node.pred):
-                refs = set(referenced_attributes(conjunct))
-                if refs and refs <= left_only:
-                    to_left.append(conjunct)
-                elif refs and refs <= right_only:
-                    to_right.append(conjunct)
-                else:
-                    keep.append(conjunct)
-            if to_left or to_right:
-                fired.append("select-pushdown(join)")
-                new_left: Node = source.left
-                new_right: Node = source.right
-                if to_left:
-                    new_left = _push_selects(
-                        Select(source.left, _conj(to_left)), ctx, fired
-                    )
-                if to_right:
-                    new_right = _push_selects(
-                        Select(source.right, _conj(to_right)), ctx, fired
-                    )
-                joined: Node = Join(new_left, new_right)
-                if keep:
-                    joined = Select(joined, _conj(keep))
-                return joined
-        if isinstance(source, Union):
-            fired.append("select-pushdown(union)")
-            return Union(
-                _push_selects(Select(source.left, node.pred), ctx, fired),
-                _push_selects(Select(source.right, node.pred), ctx, fired),
-            )
-        if isinstance(source, Difference):
-            fired.append("select-pushdown(difference)")
-            return Difference(
-                _push_selects(Select(source.left, node.pred), ctx, fired),
-                source.right,
-            )
-        if isinstance(source, Project):
-            fired.append("select-pushdown(project)")
-            return Project(
-                _push_selects(
-                    Select(source.source, node.pred), ctx, fired
-                ),
-                source.attributes,
-            )
-        return Select(source, node.pred)
-    return _rebuild(node, ctx, fired, _push_selects)
-
-
-def _push_projections(node: Node, ctx: _Ctx, fired: List[str]) -> Node:
-    if isinstance(node, Project):
-        source = node.source
-        if isinstance(source, Project):
-            fired.append("project-collapse")
-            return _push_projections(
-                Project(source.source, node.attributes), ctx, fired
-            )
-        if isinstance(source, Union):
-            fired.append("project-pushdown(union)")
-            return Union(
-                _push_projections(
-                    Project(source.left, node.attributes), ctx, fired
-                ),
-                _push_projections(
-                    Project(source.right, node.attributes), ctx, fired
-                ),
-            )
-        if isinstance(source, Join):
-            left_facts = ctx.facts(source.left)
-            right_facts = ctx.facts(source.right)
-            shared = set(left_facts.attrs) & set(right_facts.attrs)
-            wanted = set(node.attributes) | shared
-            needed_left = tuple(
-                a for a in left_facts.attrs if a in wanted
-            )
-            needed_right = tuple(
-                a for a in right_facts.attrs if a in wanted
-            )
-            narrower_left = (
-                needed_left
-                and needed_left != left_facts.attrs
-            )
-            narrower_right = (
-                needed_right
-                and needed_right != right_facts.attrs
-            )
-            if narrower_left or narrower_right:
-                fired.append("project-pushdown(join)")
-                new_left: Node = source.left
-                new_right: Node = source.right
-                if narrower_left:
-                    new_left = _push_projections(
-                        Project(source.left, needed_left), ctx, fired
-                    )
-                if narrower_right:
-                    new_right = _push_projections(
-                        Project(source.right, needed_right), ctx, fired
-                    )
-                return Project(Join(new_left, new_right), node.attributes)
-        return Project(
-            _push_projections(source, ctx, fired), node.attributes
-        )
-    return _rebuild(node, ctx, fired, _push_projections)
-
-
-def _fuse_cross(node: Node, ctx: _Ctx, fired: List[str]) -> Node:
-    rebuilt = _rebuild(node, ctx, fired, _fuse_cross)
-    if not isinstance(rebuilt, Join):
-        return rebuilt
-    factors = _flatten_cross(rebuilt, ctx)
-    if factors is None or len(factors) < 3:
-        return rebuilt
-    sizes = [ctx.facts(f).est_rows for f in factors]
-    if any(size is None for size in sizes):
-        return rebuilt
-    order = sorted(range(len(factors)), key=lambda i: (sizes[i], i))
-    if order == list(range(len(factors))):
-        return rebuilt
-    fired.append("cross-fusion")
-    original_attrs = ctx.facts(rebuilt).attrs
-    fused: Node = factors[order[0]]
-    for index in order[1:]:
-        fused = Join(fused, factors[index])
-    return Project(fused, original_attrs)
-
-
-def _flatten_cross(node: Node, ctx: _Ctx) -> Optional[List[Node]]:
-    """The factors of a pure cross chain (every join spine node is
-    attribute-disjoint), or None."""
-    if not isinstance(node, Join):
-        return [node]
-    left_attrs = set(ctx.facts(node.left).attrs)
-    right_attrs = set(ctx.facts(node.right).attrs)
-    if left_attrs & right_attrs:
-        return None
-    left = _flatten_cross(node.left, ctx)
-    right = _flatten_cross(node.right, ctx)
-    if left is None or right is None:
-        return None
-    return left + right
-
-
-def _rebuild(
-    node: Node, ctx: _Ctx, fired: List[str], rewrite: Any
-) -> Node:
-    """Apply ``rewrite`` to every child, preserving the node shape."""
-    if isinstance(node, (Scan, Empty)):
-        return node
-    if isinstance(node, Select):
-        return Select(rewrite(node.source, ctx, fired), node.pred)
-    if isinstance(node, Project):
-        return Project(rewrite(node.source, ctx, fired), node.attributes)
-    if isinstance(node, Rename):
-        return Rename(rewrite(node.source, ctx, fired), node.mapping)
-    if isinstance(node, Join):
-        return Join(
-            rewrite(node.left, ctx, fired), rewrite(node.right, ctx, fired)
-        )
-    if isinstance(node, Union):
-        return Union(
-            rewrite(node.left, ctx, fired), rewrite(node.right, ctx, fired)
-        )
-    if isinstance(node, Difference):
-        return Difference(
-            rewrite(node.left, ctx, fired), rewrite(node.right, ctx, fired)
-        )
-    raise QueryError(f"not a query node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# the driver
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Plan:
-    """An optimized query plan: the rewritten tree plus its pedigree."""
-
-    source: Node
-    node: Node
-    rewrites: Tuple[str, ...]
-    info: PlanInfo
-
-
-def optimize_tree(
-    node: Node,
-    catalog: Mapping[str, RelationSchema],
-    stats: Optional[Mapping[str, RelationStats]] = None,
-    fds: Optional[Mapping[str, Any]] = None,
-    mode: str = MODE_LEAST,
-    limit: int = DEFAULT_LIMIT,
-    least_safe: bool = True,
-) -> Plan:
-    """Rewrite a validated tree to an equivalent, cheaper plan.
-
-    Rewrites are applied to a fixpoint (bounded passes); the result is
-    pinned field-identical to evaluating the tree as written, in both
-    modes, by ``tests/query/test_optimize.py``.
-    """
-    output_schema(node, catalog)
-    ctx = _Ctx(catalog, stats or {}, fds or {}, mode, limit, least_safe)
-    fired: List[str] = []
-    current = node
-    for _ in range(5):
-        previous = current
-        current = _simplify_selects(current, ctx, fired)
-        current = _cascade_empty(current, ctx, fired)
-        current = _push_selects(current, ctx, fired)
-        current = _push_projections(current, ctx, fired)
-        current = _fuse_cross(current, ctx, fired)
-        if current == previous:
-            break
-    info = _analyze(current, ctx)
-    return Plan(
-        source=node, node=current, rewrites=tuple(fired), info=info
-    )
-
-
-# ---------------------------------------------------------------------------
 # EXPLAIN rendering
 # ---------------------------------------------------------------------------
 
 
-def render_plan(plan: Plan) -> str:
-    """The EXPLAIN text: tree, inferred keys, strategies, rewrites."""
+def render_plan(plan: PlanInfo) -> str:
+    """The EXPLAIN text: the tree with its inferred keys, null-flow,
+    join strategies and bounds, one node per line."""
     lines: List[str] = []
 
     def walk(info: PlanInfo, depth: int) -> None:
@@ -988,9 +642,5 @@ def render_plan(plan: Plan) -> str:
         for child in info.children:
             walk(child, depth + 1)
 
-    walk(plan.info, 0)
-    if plan.rewrites:
-        lines.append("rewrites: " + ", ".join(plan.rewrites))
-    else:
-        lines.append("rewrites: (none)")
+    walk(plan, 0)
     return "\n".join(lines)

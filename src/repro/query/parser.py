@@ -25,12 +25,28 @@ Bindings are inlined at parse time: ``parse_query(text, bindings)``
 splices a bound name's tree wherever it is scanned, so the bound
 query's *conditions* survive — materializing an intermediate as a plain
 relation would forget under which completions its maybe-rows exist.
+
+Nesting is bounded by :data:`MAX_DEPTH`, counted twice: parentheses and
+``not`` as the parser descends, and operator levels in the finished tree
+(bound trees included).  The parser, the schema checker, the analysis
+and the evaluator all recurse on that structure, so a text past the
+bound is a :class:`QueryParseError`, not a ``RecursionError``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from ..errors import ReproError
 from ..nullsem.queries import AndP, AttrEq, Eq, In, NotP, OrP, Pred
@@ -43,7 +59,13 @@ from .algebra import (
     Scan,
     Select,
     Union,
+    operands,
 )
+
+#: the deepest nesting a query may have (see the module docstring)
+MAX_DEPTH = 100
+
+_T = TypeVar("_T")
 
 
 class QueryParseError(ReproError):
@@ -106,6 +128,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.bindings = dict(bindings or {})
+        self.depth = 0
 
     # -- cursor helpers ------------------------------------------------------
 
@@ -144,6 +167,18 @@ class _Parser:
             )
         return self._advance()
 
+    def _nested(self, parse: Callable[[], _T]) -> _T:
+        """Parse one parenthesized or negated level, within the bound."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise QueryParseError(
+                f"query nests deeper than {MAX_DEPTH} levels",
+                column=self.current.column,
+            )
+        result = parse()
+        self.depth -= 1
+        return result
+
     # -- expression grammar --------------------------------------------------
 
     def parse(self) -> Node:
@@ -153,6 +188,11 @@ class _Parser:
                 f"unexpected {self.current.text!r} after the query",
                 column=self.current.column,
             )
+        # every operator takes a token: only a long text or a spliced
+        # binding can build a tree past the bound
+        deep = len(self.tokens) > MAX_DEPTH or bool(self.bindings)
+        if deep and _height(node) > MAX_DEPTH:
+            raise QueryParseError(f"query nests deeper than {MAX_DEPTH} levels")
         return node
 
     def expr(self) -> Node:
@@ -206,7 +246,7 @@ class _Parser:
     def atom(self) -> Node:
         if self._at_symbol("("):
             self._advance()
-            node = self.expr()
+            node = self._nested(self.expr)
             self._expect_symbol(")")
             return node
         token = self._expect_name("a relation name")
@@ -235,10 +275,10 @@ class _Parser:
     def pred_unary(self) -> Pred:
         if self._at_keyword("not"):
             self._advance()
-            return NotP(self.pred_unary())
+            return NotP(self._nested(self.pred_unary))
         if self._at_symbol("("):
             self._advance()
-            node = self.pred_or()
+            node = self._nested(self.pred_or)
             self._expect_symbol(")")
             return node
         return self.pred_atom()
@@ -283,6 +323,25 @@ class _Parser:
             "(quote strings: 'value')",
             column=token.column,
         )
+
+
+def _height(root: Node) -> int:
+    """Operator levels from ``root`` down to its deepest scan, counted
+    without recursion; a subtree shared by bindings is counted once."""
+    heights: Dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        below = operands(node)
+        pending = [child for child in below if id(child) not in heights]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        heights[id(node)] = 1 + max(
+            (heights[id(child)] for child in below), default=0
+        )
+    return heights[id(root)]
 
 
 class Statement(NamedTuple):

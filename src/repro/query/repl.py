@@ -14,8 +14,8 @@ Dot-commands::
     .mode [kleene|least]  show or switch the evaluation mode
     .quit                 leave the shell
 
-``explain Q`` prints the optimized plan for ``Q`` (inferred keys, join
-strategies, fired rewrites) without evaluating it.
+``explain Q`` prints the plan for ``Q`` (the tree as written, with
+inferred keys, join strategies and bounds) without evaluating it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .parser import parse_statement
 _HELP = """\
 Enter a query (e.g.  emp where dept = 'sales' [name])  or bind one
 (ans = emp join dept_mgr).  Operators: where, [attrs], rename a -> b,
-join, union, minus.  `explain Q` shows Q's optimized plan without
-running it.  Dot-commands: .help .relations .schema NAME
+join, union, minus.  `explain Q` shows Q's plan without running
+it.  Dot-commands: .help .relations .schema NAME
 .mode [kleene|least] .quit"""
 
 
@@ -89,17 +89,15 @@ class QueryRepl:
         env: Mapping[str, Relation],
         mode: str = MODE_LEAST,
         fds: Optional[Mapping[str, Any]] = None,
-        optimize: bool = True,
     ) -> None:
         self.env = dict(env)
         self.mode = mode
         self.fds = fds
-        self.optimize = optimize
         self.bindings: Dict[str, Node] = {}
         self.done = False
 
     def _evaluator(self) -> Evaluator:
-        return Evaluator(self.env, fds=self.fds, optimize=self.optimize)
+        return Evaluator(self.env, fds=self.fds)
 
     # -- one line in, one block of text out ---------------------------------
 
@@ -189,14 +187,13 @@ def run_repl(
     mode: str = MODE_LEAST,
     prompt: Optional[str] = None,
     fds: Optional[Mapping[str, Any]] = None,
-    optimize: bool = True,
 ) -> QueryRepl:
     """Feed ``lines`` through a shell, writing each block to ``out``.
 
     The CLI passes a stdin iterator and a prompt; tests pass a list and
     capture ``out``.  Returns the shell so callers can inspect state.
     """
-    repl = QueryRepl(env, mode=mode, fds=fds, optimize=optimize)
+    repl = QueryRepl(env, mode=mode, fds=fds)
     if prompt:
         out.write(prompt)
         out.flush()

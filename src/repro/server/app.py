@@ -396,8 +396,8 @@ class ReproServer:
         The plan linter runs before any lease is taken: refusal-grade
         findings (least-mode grounding blow-up, statically unsatisfiable
         tree) reject the request outright, warnings ride along in the
-        success payload, and ``explain: true`` returns the optimized
-        plan text — lease-free — instead of evaluating.
+        success payload, and ``explain: true`` returns the plan text —
+        lease-free — instead of evaluating.
 
         Read state is built once per cut: each relation's writer holds
         a :class:`~repro.server.writer.ReadView` — the fixpoint, its

@@ -166,7 +166,7 @@ async def run_tcp(server: Any, host: str, port: int) -> "Listener":
         async def run_one(line: bytes) -> None:
             try:
                 request = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):  # nested past the decoder's stack
                 response = {"id": None, "ok": False, "error": "request is not JSON"}
             else:
                 response = await server.handle(request)

@@ -250,27 +250,8 @@ class RelationWriter:
             if not future.done():
                 future.set_exception(error)
             return
-        staged = self._last_staged
         self.ops_applied += 1
-        if staged is None:
-            # read-only or no-record op: nothing to make durable
-            if not future.done():
-                future.set_result(value)
-            return
-
-        def _ack(record_future: "asyncio.Future[Any]") -> None:
-            if future.done():
-                return
-            if record_future.cancelled():
-                future.cancel()
-                return
-            error = record_future.exception()
-            if error is not None:
-                future.set_exception(error)
-            else:
-                future.set_result(value)
-
-        staged.add_done_callback(_ack)
+        self._ack_when_durable(future, self._last_staged, value)
 
     def _apply_batch(
         self, batch: _Batch, future: "asyncio.Future[Any]"
@@ -309,11 +290,23 @@ class RelationWriter:
             if self._last_staged is not None:
                 staged = self._last_staged
             outcomes.append({"ok": True, **(value or {})})
+        # the committer acks staged records in order, so the last one's
+        # durability covers every record the bundle journalled
+        self._ack_when_durable(future, staged, outcomes)
+
+    @staticmethod
+    def _ack_when_durable(
+        future: "asyncio.Future[Any]",
+        staged: Optional["asyncio.Future[Any]"],
+        value: Any,
+    ) -> None:
+        """Resolve ``future`` with ``value`` once ``staged`` — the last
+        record the op or bundle journalled — is durable, or now when it
+        journalled none; a failed or cancelled record fails or cancels
+        ``future`` instead."""
         if staged is None:
-            # nothing journalled (every op failed validation, or the
-            # bundle was read-only): ack immediately
             if not future.done():
-                future.set_result(outcomes)
+                future.set_result(value)
             return
 
         def _ack(record_future: "asyncio.Future[Any]") -> None:
@@ -326,7 +319,7 @@ class RelationWriter:
             if error is not None:
                 future.set_exception(error)
             else:
-                future.set_result(outcomes)
+                future.set_result(value)
 
         staged.add_done_callback(_ack)
 

@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import has_errors, lint_script
 from repro.chase.session import ChaseSession
-from repro.cli import _SessionTarget, run_script
+from repro.cli import run_script
 from repro.core.schema import RelationSchema
 from repro.errors import ScriptError
+from repro.opschema import SessionTarget
 
 SCHEMA = RelationSchema("R", "A B C")
 FDS = ["A -> B", "B -> C"]
@@ -72,7 +73,7 @@ def test_lint_clean_scripts_execute_without_raising(script):
     diagnostics = lint_script(SCHEMA, FDS, script)
     if has_errors(diagnostics):
         return  # the guarantee speaks only of clean scripts
-    target = _SessionTarget(ChaseSession(SCHEMA, FDS))
+    target = SessionTarget(ChaseSession(SCHEMA, FDS))
     run_script(target, script)  # must not raise
 
 
@@ -84,7 +85,7 @@ def test_runtime_failures_were_always_flagged(script):
     (The converse of soundness — together they pin the error severity to
     exactly the provably-failing scripts this generator can produce.)
     """
-    target = _SessionTarget(ChaseSession(SCHEMA, FDS))
+    target = SessionTarget(ChaseSession(SCHEMA, FDS))
     try:
         run_script(target, script)
     except ScriptError:

@@ -20,11 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import lint_requests, lint_script
 from repro.chase.session import ChaseSession
-from repro.cli import _SessionTarget, run_script
+from repro.cli import run_script
 from repro.core.codec import ValueCodec
 from repro.core.schema import Domain, RelationSchema
 from repro.core.values import null
 from repro.errors import ScriptError
+from repro.opschema import SessionTarget
 
 from .test_lint_property import FDS as PROPERTY_FDS
 from .test_lint_property import SCHEMA as PROPERTY_SCHEMA
@@ -161,7 +162,7 @@ def test_script_and_batch_lint_identically_over_seed_rows_sharing_nulls(
             schema,
             FDS,
             as_batch(sequence),
-            target=_SessionTarget(ChaseSession(schema, FDS, rows)),
+            target=SessionTarget(ChaseSession(schema, FDS, rows)),
             known_null=codec.knows,
             decode=codec.decode,
         )
@@ -187,7 +188,7 @@ def test_a_fill_substitutes_a_seeded_shared_null_everywhere():
             {"do": "fill", "index": 0, "attr": "B", "value": "b1"},
             {"do": "fill", "index": 1, "attr": "B", "value": {"n": codec.id_of(shared)}},
         ],
-        target=_SessionTarget(ChaseSession(SCHEMAS[0], [], rows)),
+        target=SessionTarget(ChaseSession(SCHEMAS[0], [], rows)),
         known_null=codec.knows,
         decode=codec.decode,
     )
@@ -205,7 +206,7 @@ def first_error(script):
 
 
 def runtime_failure(script):
-    target = _SessionTarget(ChaseSession(PROPERTY_SCHEMA, PROPERTY_FDS))
+    target = SessionTarget(ChaseSession(PROPERTY_SCHEMA, PROPERTY_FDS))
     try:
         run_script(target, script)
     except ScriptError as error:

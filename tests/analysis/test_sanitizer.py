@@ -247,7 +247,7 @@ class TestEvaluatorAudit:
         node = parse_query("r where B = 'b1'")
         result = evaluator.run(node)
         attrs = result.attributes
-        crows = evaluator._eval(evaluator.plan(node).node)[1]
+        crows = evaluator._eval(node)[1]
         certain = [tuple(row) for row in result.certain.rows]
         maybe = [tuple(row) for row in result.maybe.rows]
         return audit_evaluator, evaluator, attrs, crows, certain, maybe

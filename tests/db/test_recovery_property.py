@@ -24,11 +24,11 @@ import shutil
 import pytest
 
 from repro.chase import ChaseSession
-from repro.cli import _SessionTarget
 from repro.core.values import NOTHING, is_null, null
 from repro.db import Database, ManagedRelation
 from repro.db.storage import WAL_NAME
 from repro.errors import ReproError
+from repro.opschema import SessionTarget
 
 from ..helpers import schema_of
 from ..strategies import assert_recovered_identical
@@ -135,7 +135,7 @@ def apply_op(target, op):
 
 def reference_after(ops):
     """The uninterrupted in-memory session after ``ops``."""
-    target = _SessionTarget(ChaseSession(SCHEMA, FDS))
+    target = SessionTarget(ChaseSession(SCHEMA, FDS))
     for op in ops:
         apply_op(target, op)
     return target

@@ -15,16 +15,24 @@ Three surfaces must stay inside their contracts on every draw:
   each carrying a code from :data:`repro.analysis.diagnostics.CODES`,
   with instance statistics (so the plan linter runs its grounding
   bounds) and FDs (so it infers keys).
+
+Text nested past the parser's bound — parentheses, ``not`` chains,
+operator pipelines, a chain of bindings — is among the explicit
+examples, and the served ``query`` verb refuses it with a coded lint
+diagnostic.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import asyncio
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import lint_query_request, lint_query_script
 from repro.analysis.diagnostics import CODES
 from repro.query import Node, QueryParseError, collect_stats, parse_query
+from repro.server import ReproServer
 
 from ..helpers import rel
 
@@ -37,6 +45,13 @@ ENV = {
 CATALOG = {name: relation.schema for name, relation in ENV.items()}
 STATS = collect_stats(ENV)
 FDS = {"r": ["A -> B"], "s": ["B -> D"]}
+
+#: nesting past the parser's bound, in each shape that can reach it
+DEEP_PARENS = "(" * 331 + "r" + ")" * 331
+DEEP_PRED_PARENS = "r where " + "(" * 1000 + "A = 'a1'" + ")" * 1000
+DEEP_NOTS = "r where " + "not " * 1000 + "A = 'a1'"
+DEEP_PIPELINE = "r" + "[A]" * 1000
+DEEP_BINDINGS = ["x = r"] + ["x = x[A]"] * 1000
 
 _NAMES = st.sampled_from(["r", "s", "r", "s", "t"])
 _ATTRS = st.sampled_from(["A", "B", "C", "D", "A", "B", "Z"])
@@ -110,6 +125,10 @@ def _codes_known(diagnostics) -> None:
 
 @given(query_texts())
 @settings(max_examples=400, deadline=None)
+@example(DEEP_PARENS)
+@example(DEEP_PRED_PARENS)
+@example(DEEP_NOTS)
+@example(DEEP_PIPELINE)
 def test_parse_query_raises_only_parse_errors(text):
     try:
         node = parse_query(text)
@@ -120,6 +139,7 @@ def test_parse_query_raises_only_parse_errors(text):
 
 @given(query_texts(), st.sampled_from(["least", "kleene", "fuzzy"]))
 @settings(max_examples=400, deadline=None)
+@example(DEEP_PIPELINE, "least")
 def test_lint_query_request_returns_only_coded_diagnostics(text, mode):
     request = {"do": "query", "q": text, "mode": mode}
     _codes_known(lint_query_request(CATALOG, request, stats=STATS, fds=FDS))
@@ -127,8 +147,24 @@ def test_lint_query_request_returns_only_coded_diagnostics(text, mode):
 
 @given(st.lists(query_texts(), max_size=5), st.sampled_from(["least", "kleene"]))
 @settings(max_examples=150, deadline=None)
+@example(DEEP_BINDINGS, "least")
 def test_lint_query_script_returns_only_coded_diagnostics(lines, mode):
     lines = [line.replace("\n", " ") for line in lines]
     _codes_known(
         lint_query_script(CATALOG, lines, stats=STATS, fds=FDS, mode=mode)
     )
+
+
+def test_served_deep_query_is_refused_by_lint(tmp_path):
+    async def go():
+        server = ReproServer(tmp_path / "db", create=True, sync="none")
+        await server.start()
+        await server.handle({"do": "create", "name": "r", "attrs": "A B"})
+        reply = await server.handle({"id": 1, "do": "query", "q": DEEP_PARENS})
+        await server.stop()
+        return reply
+
+    reply = asyncio.run(asyncio.wait_for(go(), timeout=60))
+    assert reply["ok"] is False and "refused by lint" in reply["error"]
+    assert [d["code"] for d in reply["diagnostics"]] == ["E_BAD_REQUEST"]
+    assert "deeper than" in reply["diagnostics"][0]["message"]

@@ -3,6 +3,8 @@
 * A request line longer than the server's :data:`~repro.server.protocol.LINE_LIMIT`
   must not cost the requests pipelined before it their acks: those
   answer, then one ``E_LINE_TOO_LONG`` refusal, then the server closes.
+* A line within the limit that nests deeper than the JSON decoder can
+  follow is answered like any other unparsable line.
 * :class:`~repro.server.protocol.Client` reads answers far longer than
   asyncio's default 64 KiB line, and once its connection is gone every
   call fails at once instead of waiting forever.
@@ -54,6 +56,30 @@ def test_oversized_request_line_refused_after_earlier_acks(tmp_path):
         assert answers[-1]["code"] == "E_LINE_TOO_LONG"
         assert len(answers) == 6
         assert server.db.relation("r").seq == 5  # the five acks are durable
+        writer.close()
+        await server.stop()
+
+    run(go())
+
+
+def test_over_nested_request_line_is_answered_as_not_json(tmp_path):
+    async def go():
+        server = await _server(tmp_path, "r", "A B")
+        host, port = await server.listen()
+        reader, writer = await asyncio.open_connection(host, port)
+        nested = b"[" * 30_000 + b"]" * 30_000 + b"\n"
+        assert len(nested) < LINE_LIMIT
+        writer.write(nested + encode_line({"id": 1, "do": "ping"}))
+        await writer.drain()
+        answers = [
+            json.loads(await asyncio.wait_for(reader.readline(), timeout=10))
+            for _ in range(2)
+        ]
+        by_id = {answer["id"]: answer for answer in answers}
+        assert by_id[None] == {
+            "id": None, "ok": False, "error": "request is not JSON"
+        }
+        assert by_id[1]["pong"] is True
         writer.close()
         await server.stop()
 
