@@ -32,11 +32,10 @@ Two series:
   the occurrence index and bucket member lists in O(its own cells).
   `session.stats()` is asserted, not inferred: every delete must be
   served by the `retire_fast` counter with zero rebuilds.
-* **sharded verification**: `session.verify()` re-chases the raw rows
-  with the sharded chase on the session's cached shard plan; the series
-  races it against the same field comparison over one unsharded
-  (all-columns) reference chase, on a two-component workload
-  with a wide bypass payload.
+* **verification**: `session.verify()` re-chases the raw rows with
+  `chase()`, which bypasses the columns no FD mentions; the series races
+  it against the same field comparison over one all-columns vector state,
+  on a two-chain workload with a wide FD-free payload.
 
 Both strategies must agree on every final fixpoint (`canonical_form`
 compared per size; a divergence aborts the benchmark with a non-zero
@@ -54,7 +53,8 @@ from repro.bench.report import (
     loglog_slope,
     time_call,
 )
-from repro.chase import ChaseSession, canonical_form, chase
+from repro.armstrong.cover import minimal_cover
+from repro.chase import ChaseSession, VectorChaseState, canonical_form, chase
 from repro.core.fd import FDSet
 from repro.core.relation import Relation
 from repro.core.values import null
@@ -164,11 +164,11 @@ def run_mixed_session(schema, ops) -> Relation:
 
 
 # ---------------------------------------------------------------------------
-# sharded verification: session.verify() vs an unsharded reference chase
+# verification: session.verify() vs an all-columns reference chase
 # ---------------------------------------------------------------------------
 
-#: two independent FD chains (one shard each) over A1..A8, leaving the
-#: trailing payload columns to the planner's bypass
+#: two independent FD chains over A1..A8, leaving the trailing payload
+#: columns to chase()'s bypass
 PAR_FDS = FDSet(
     ["A3 -> A4", "A2 -> A3", "A1 -> A2", "A7 -> A8", "A6 -> A7", "A5 -> A6"]
 )
@@ -176,7 +176,7 @@ PAR_PAYLOAD = 24
 
 
 def verification_session(n_rows: int) -> ChaseSession:
-    """A session holding full/holey row pairs over two FD components plus
+    """A session holding full/holey row pairs over two FD chains plus
     ``PAR_PAYLOAD`` constant columns no FD mentions."""
     schema = random_schema(8 + PAR_PAYLOAD)
     session = ChaseSession(schema, PAR_FDS)
@@ -192,11 +192,13 @@ def verification_session(n_rows: int) -> ChaseSession:
     return session
 
 
-def unsharded_verify(session: ChaseSession) -> bool:
-    """``session.verify()``'s field comparison against one unsharded
-    (all-columns) chase of the raw rows."""
+def all_columns_verify(session: ChaseSession) -> bool:
+    """``session.verify()``'s field comparison against one all-columns
+    vector state over the raw rows, under the same minimal cover."""
     mine = session.result()
-    reference = chase(session.raw_relation(), list(session.fds))
+    state = VectorChaseState(session.raw_relation(), minimal_cover(session.fds))
+    state.run_vectorized()
+    reference = state.result("round_robin")
     return (
         [row.values for row in mine.relation.rows]
         == [row.values for row in reference.relation.rows]
@@ -209,39 +211,39 @@ def unsharded_verify(session: ChaseSession) -> bool:
 
 def run_verification_series(sizes):
     table = Table(
-        "A2d — verification: sharded session.verify() vs an unsharded "
-        "reference chase",
-        ["rows", "unsharded (s)", "sharded (s)", "speedup"],
+        "A2d — verification: session.verify() (column bypass) vs an "
+        "all-columns reference chase",
+        ["rows", "all-columns (s)", "bypass (s)", "speedup"],
     )
-    unsharded_times, sharded_times = [], []
+    all_columns_times, bypass_times = [], []
     for n in sizes:
         session = verification_session(n)
-        if not (unsharded_verify(session) and session.verify()):
+        if not (all_columns_verify(session) and session.verify()):
             raise SystemExit(f"verification failed at n={n}")
         repeat = bench_repeat(2)
-        unsharded_times.append(
-            time_call(lambda: unsharded_verify(session), repeat=repeat)
+        all_columns_times.append(
+            time_call(lambda: all_columns_verify(session), repeat=repeat)
         )
-        sharded_times.append(time_call(session.verify, repeat=repeat))
+        bypass_times.append(time_call(session.verify, repeat=repeat))
         table.add_row(
             n,
-            unsharded_times[-1],
-            sharded_times[-1],
-            f"{unsharded_times[-1] / sharded_times[-1]:.1f}x",
+            all_columns_times[-1],
+            bypass_times[-1],
+            f"{all_columns_times[-1] / bypass_times[-1]:.1f}x",
         )
     table.show()
     print()
     print(
-        "series unsharded verify wall s by size: "
-        + " ".join(f"{t:.4f}" for t in unsharded_times)
+        "series all-columns verify wall s by size: "
+        + " ".join(f"{t:.4f}" for t in all_columns_times)
     )
     print(
-        "series sharded verify wall s by size: "
-        + " ".join(f"{t:.4f}" for t in sharded_times)
+        "series column-bypass verify wall s by size: "
+        + " ".join(f"{t:.4f}" for t in bypass_times)
     )
     print(
-        "sharded verify speedup over unsharded at largest configuration: "
-        f"{unsharded_times[-1] / sharded_times[-1]:.1f}x"
+        "column-bypass verify speedup over all-columns verify at largest "
+        f"configuration: {all_columns_times[-1] / bypass_times[-1]:.1f}x"
     )
 
 

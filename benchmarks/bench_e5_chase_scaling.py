@@ -20,6 +20,13 @@ time vs chain width p at fixed n — expected log-log slopes ≈ 2 (sweep) vs
 the extended chase ahead.  The headline number is the speedup of the
 default extended-mode chase over the sweep at the largest configuration
 (the PR-1 acceptance asks for ≥5×).
+
+E5c times ``chase()``'s column bypass (one vector state over the
+FD-mentioned columns, the rest spliced back) against one all-columns
+vector state on a wide relation; E5d times ``chase()`` under the FD set's
+minimal cover against the spelled-out closure.  Both take the best of
+:data:`REPEAT` runs per point in every mode: a single quick-mode sample
+was noisy enough to fall below ``compare.py``'s 1.0x quick floor.
 """
 
 from repro.bench.report import (
@@ -30,13 +37,15 @@ from repro.bench.report import (
     loglog_slope,
     time_call,
 )
-from repro.chase import MODE_EXTENDED, canonical_form, chase
-from repro.chase.sharded import sharded_chase
-from repro.chase.plan import plan_shards
+from repro.armstrong.cover import minimal_cover
+from repro.chase import MODE_EXTENDED, VectorChaseState, canonical_form, chase
 from repro.core.fd import FD
 from repro.core.relation import Relation
 from repro.core.values import null
 from repro.workloads.generator import attribute_names, random_schema
+
+#: best-of repetitions for E5c and E5d, quick mode included
+REPEAT = 3
 
 
 def chain_fds(width: int):
@@ -46,8 +55,7 @@ def chain_fds(width: int):
 
 def component_fds(n_components: int, comp_width: int):
     """``n_components`` disjoint anti-ordered chains of ``comp_width``
-    attributes each — the shard planner splits them into one shard per
-    chain."""
+    attributes each."""
     fds = []
     for c in range(n_components):
         base = c * comp_width + 1
@@ -61,7 +69,7 @@ def component_workload(
 ) -> Relation:
     """Per-component row pairs (full/holey, as in :func:`chain_workload`)
     plus ``payload_cols`` trailing constant columns no FD mentions — the
-    bypass columns the sharded executor never hands to a chase engine."""
+    columns ``chase()`` bypasses."""
     width = n_components * comp_width + payload_cols
     schema = random_schema(width)
     rows = []
@@ -80,8 +88,8 @@ def component_workload(
 def closure_chain_fds(width: int):
     """The FULL transitive closure of a ``width``-chain — every implied
     shortcut ``Ai -> Aj`` (i < j) spelled out, p(p-1)/2 FDs in all,
-    anti-ordered like :func:`chain_fds`.  Cover pruning collapses it back
-    to the (p-1)-FD chain."""
+    anti-ordered like :func:`chain_fds`.  Its minimal cover is the
+    (p-1)-FD chain."""
     return [
         FD(f"A{i}", f"A{j}")
         for j in range(width, 1, -1)
@@ -113,6 +121,13 @@ def _engines(r, fds):
     )
     fast_t = time_call(lambda: chase(r, fds, mode=MODE_EXTENDED), repeat=repeat)
     return sweep, same, sweep_t, fast_t
+
+
+def all_columns_chase(r, fds):
+    """E5c's reference: one vector state over every column, no bypass."""
+    state = VectorChaseState(r, fds)
+    state.run_vectorized()
+    return state.result("round_robin")
 
 
 def main() -> None:
@@ -169,111 +184,97 @@ def main() -> None:
         "\nchain drives to Θ(p) — and the extended chase avoids outright)"
     )
 
-    # E5c — the sharded chase on a multi-component workload: 4 independent
-    # FD chains (one shard each) plus a wide payload of bypass columns the
-    # planner never hands to any chase engine.  Both sides run in-process
-    # on the vector engine; the speedup is component planning + column
-    # bypass over the unified chase of every column.
+    # E5c — column bypass on a wide relation: 4 FD chains over 16 columns
+    # plus a payload of 48 columns no FD mentions.  chase() runs one vector
+    # state over the 16 and splices the 48 back; the reference runs one
+    # vector state over all 64.
     n_components, comp_width, payload_cols = 4, 4, 48
     sizes = bench_sizes(geometric_sizes(1000, 2.0, 3))
     fds = component_fds(n_components, comp_width)
     table = Table(
-        f"E5c — sharded chase ({n_components} FD components x "
-        f"{comp_width} cols + {payload_cols} bypass cols)",
-        ["n", "unified (s)", "sharded (s)", "speedup", "same fixpoint"],
+        f"E5c — column bypass ({n_components} FD chains x "
+        f"{comp_width} cols + {payload_cols} FD-free cols)",
+        ["n", "all-columns (s)", "bypass (s)", "speedup", "same fixpoint"],
     )
-    unified_times, sharded_times = [], []
+    all_columns_times, bypass_times = [], []
     for n in sizes:
         r = component_workload(n, n_components, comp_width, payload_cols)
-        unified = chase(r, fds)
-        sharded = sharded_chase(r, fds)
-        same = canonical_form(sharded.relation) == canonical_form(
-            unified.relation
+        bypass = chase(r, fds)
+        same = canonical_form(bypass.relation) == canonical_form(
+            all_columns_chase(r, fds).relation
         )
-        repeat = bench_repeat(2)
-        unified_times.append(time_call(lambda: chase(r, fds), repeat=repeat))
-        sharded_times.append(
-            time_call(lambda: sharded_chase(r, fds), repeat=repeat)
+        all_columns_times.append(
+            time_call(lambda: all_columns_chase(r, fds), repeat=REPEAT)
         )
+        bypass_times.append(time_call(lambda: chase(r, fds), repeat=REPEAT))
         table.add_row(
             n,
-            unified_times[-1],
-            sharded_times[-1],
-            f"{unified_times[-1] / sharded_times[-1]:.1f}x",
+            all_columns_times[-1],
+            bypass_times[-1],
+            f"{all_columns_times[-1] / bypass_times[-1]:.1f}x",
             same,
         )
     table.show()
     print()
     print(
-        "series unified chase wall s by size: "
-        + " ".join(f"{t:.4f}" for t in unified_times)
+        "series all-columns chase wall s by size: "
+        + " ".join(f"{t:.4f}" for t in all_columns_times)
     )
     print(
-        "series sharded chase wall s by size: "
-        + " ".join(f"{t:.4f}" for t in sharded_times)
+        "series column-bypass chase wall s by size: "
+        + " ".join(f"{t:.4f}" for t in bypass_times)
     )
     print(
-        "sharded chase speedup over unified at largest configuration: "
-        f"{unified_times[-1] / sharded_times[-1]:.1f}x "
+        "column-bypass chase speedup over all-columns chase at largest "
+        f"configuration: {all_columns_times[-1] / bypass_times[-1]:.1f}x "
         "(target: >=1.5x)"
     )
 
-    # E5d — cover-pruned planning on a redundant FD set: the workload's
-    # rules are the full transitive closure of a p-chain (p(p-1)/2 FDs),
-    # which prune_fds collapses back to the (p-1)-FD chain cover.  Both
-    # sides run the same single-shard executor with a precomputed plan —
-    # the session-cached scenario — so the delta is purely the rule count
-    # the chase signs and fires.  Theorem 4 makes the fixpoints identical
-    # (checked every point).
+    # E5d — cover pruning on a redundant FD set: the workload's rules are
+    # the full transitive closure of a p-chain (p(p-1)/2 FDs), whose
+    # minimal cover is the (p-1)-FD chain — what ChaseSession.verify()
+    # chases under.  The delta is purely the rule count the chase signs
+    # and fires; Theorem 4 makes the fixpoints identical (checked every
+    # point).
     widths = bench_sizes((4, 8, 16))
     pruned_n = 300
     table = Table(
-        f"E5d — cover-pruned planning vs the spelled-out closure "
+        f"E5d — chase under the minimal cover vs the spelled-out closure "
         f"(n = {pruned_n} rows)",
         [
-            "p", "|F| input", "|F| pruned", "unpruned (s)", "pruned (s)",
+            "p", "|F| input", "|F| cover", "input (s)", "cover (s)",
             "pruning speedup", "same fixpoint",
         ],
     )
-    unpruned_times, pruned_times = [], []
+    input_times, cover_times = [], []
     for width in widths:
         fds = closure_chain_fds(width)
+        cover = minimal_cover(fds)
         r = chain_workload(width, pruned_n)
-        unpruned_plan = plan_shards(r.schema, fds, prune=False)
-        pruned_plan = plan_shards(r.schema, fds, prune=True)
-        baseline = sharded_chase(r, fds, plan=unpruned_plan)
-        covered = sharded_chase(r, fds, plan=pruned_plan)
-        same = canonical_form(baseline.relation) == canonical_form(
-            covered.relation
+        same = canonical_form(chase(r, fds).relation) == canonical_form(
+            chase(r, cover).relation
         )
-        repeat = bench_repeat(2)
-        unpruned_t = time_call(
-            lambda: sharded_chase(r, fds, plan=unpruned_plan),
-            repeat=repeat,
-        )
-        pruned_t = time_call(
-            lambda: sharded_chase(r, fds, plan=pruned_plan),
-            repeat=repeat,
-        )
-        unpruned_times.append(unpruned_t)
-        pruned_times.append(pruned_t)
+        input_t = time_call(lambda: chase(r, fds), repeat=REPEAT)
+        cover_t = time_call(lambda: chase(r, cover), repeat=REPEAT)
+        input_times.append(input_t)
+        cover_times.append(cover_t)
         table.add_row(
-            width, len(fds), len(pruned_plan.fds), unpruned_t, pruned_t,
-            f"{unpruned_t / pruned_t:.1f}x", same,
+            width, len(fds), len(cover), input_t, cover_t,
+            f"{input_t / cover_t:.1f}x", same,
         )
     table.show()
     print()
     print(
-        "series unpruned plan chase wall s by width: "
-        + " ".join(f"{t:.4f}" for t in unpruned_times)
+        "series input FD set chase wall s by width: "
+        + " ".join(f"{t:.4f}" for t in input_times)
     )
     print(
-        "series pruned plan chase wall s by width: "
-        + " ".join(f"{t:.4f}" for t in pruned_times)
+        "series minimal cover chase wall s by width: "
+        + " ".join(f"{t:.4f}" for t in cover_times)
     )
     print(
         "cover-pruning speedup at largest configuration: "
-        f"{unpruned_times[-1] / pruned_times[-1]:.1f}x "
+        f"{input_times[-1] / cover_times[-1]:.1f}x "
         "(PR-8 target: >=1.2x)"
     )
 

@@ -67,6 +67,32 @@ ENTRY_STATUSES = ("ok", "error", "timeout")
 #: are reported as info, not regressions.
 RETIRED_LABELS = {
     (
+        "bench_e5_chase_scaling",
+        "sharded chase speedup over unified at largest configuration",
+    ): (
+        "sharded_chase and its shard planner are deleted: on E5c's shape its "
+        "one win was skipping the 48 FD-free columns, and chase() now does "
+        "that itself with one vector state over the FD-mentioned columns "
+        "(full run, 2-vCPU machine, 4,000 rows: sharded 1.26 s vs unified "
+        "1.89 s, 1.5x, before the deletion; BENCH_PR18 recorded 2.4x); the old "
+        "'unified' side is now the bypassing chase() itself; superseded by "
+        "'column-bypass chase speedup over all-columns chase at largest "
+        "configuration' (2.0-2.2x in three full runs; 1.24 s vs 2.43 s in "
+        "the first)"
+    ),
+    (
+        "bench_a2_incremental",
+        "sharded verify speedup over unsharded at largest configuration",
+    ): (
+        "verify() chases under the FD set's minimal cover through chase(), "
+        "which bypasses the FD-free columns; the sharded reference is "
+        "deleted (full run, 2-vCPU machine, 2,000 rows: sharded 0.43 s vs "
+        "unsharded 0.62 s, 1.5x, before the deletion; BENCH_PR18 recorded 1.9x); "
+        "superseded by 'column-bypass verify speedup over all-columns verify "
+        "at largest configuration' (1.8x and 3.0x in two full runs: 0.34 s "
+        "vs 0.60 s, 0.19 s vs 0.57 s)"
+    ),
+    (
         "bench_q1_query",
         "least over kleene evaluation speedup at largest configuration",
     ): (

@@ -6,18 +6,15 @@ One engine per role:
   Figure 5 chase (:mod:`repro.chase.engine`), the only basic-mode engine
   and the reference every differential suite holds the others to;
 * :func:`chase` in extended mode (``engine="auto"``/``"vector"``) — the
-  batch fixpoint over maintained root arrays (:mod:`repro.chase.vector`);
-* :func:`sharded_chase` — planning plus column bypass, one vector engine
-  per FD component;
+  batch fixpoint over maintained root arrays (:mod:`repro.chase.vector`),
+  run over the columns some FD mentions, the others spliced back;
 * :class:`ChaseSession` — the incremental fixpoint on the journalled
   worklist core (:mod:`repro.chase.core`).
 """
 
 from .core import SignatureChaseCore
-from .plan import Shard, ShardPlan, fuse_for_rows, plan_shards, prune_fds
 from .session import ChaseSession, ReadLease, ResultAnswer, SessionSnapshot
-from .sharded import sharded_chase
-from .vector import VectorChaseState, vectorized_chase
+from .vector import VectorChaseState
 from .engine import (
     ENGINE_AUTO,
     ENGINE_SWEEP,
@@ -58,21 +55,14 @@ __all__ = [
     "ReadLease",
     "ResultAnswer",
     "SessionSnapshot",
-    "Shard",
-    "ShardPlan",
     "SignatureChaseCore",
     "VectorChaseState",
     "XSubstitution",
     "canonical_form",
     "chase",
     "church_rosser_orders",
-    "fuse_for_rows",
     "is_minimally_incomplete",
     "minimally_incomplete",
-    "plan_shards",
-    "prune_fds",
-    "sharded_chase",
-    "vectorized_chase",
     "weakly_satisfiable",
     "x_side_substitutions",
 ]

@@ -468,18 +468,20 @@ def chase(
       basic mode, where the order *is* the observable (Figure 5) and the
       strategy must be honored literally.
     * ``"vector"`` — the maintained-root-array engine
-      (:mod:`repro.chase.vector`; extended mode only).
+      (:func:`repro.chase.vector.extended_chase`; extended mode only).  It
+      chases only the columns some FD mentions and splices the others
+      back: an NS-rule never reads or writes a column outside its FD.
     * ``"sweep"`` — the strategy-parametric multi-pass engine (both
       modes): Figure 5's chase as written, and the reference the
       differential suites hold every faster path to.
 
-    The sharded chase (:func:`repro.chase.sharded.sharded_chase`) is a
-    separate entry point: FD components chase independently, one vector
-    engine each, and stitch back field-identically.
-
     Both engines produce identical ``relation`` / ``nec_classes`` /
     ``substitutions`` in extended mode; ``applications`` order and the
-    ``passes`` count are engine-specific diagnostics.
+    ``passes`` count are engine-specific diagnostics.  The vector
+    engine's also shift with the bypass where one null object sits both
+    in a column no FD mentions and in one some FD does, or a NOTHING cell
+    sits in a column no FD mentions: the bypassed occurrences no longer
+    weigh in the union-find's merge order.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -491,11 +493,9 @@ def chase(
                 "the vector engine implements the extended (Church-Rosser) "
                 "rules only; use engine='sweep' for basic mode"
             )
-        from .vector import VectorChaseState  # local: avoids import cycle
+        from .vector import extended_chase  # local: avoids import cycle
 
-        vector_state = VectorChaseState(relation, fds)
-        vector_state.run_vectorized()
-        return vector_state.result(strategy)
+        return extended_chase(relation, fds, strategy)
     if engine != ENGINE_SWEEP:
         raise ValueError(f"unknown chase engine {engine!r}")
     state = ChaseState(relation, fds, mode)

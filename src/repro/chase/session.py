@@ -91,8 +91,7 @@ from ..core.tuples import Row
 from ..core.values import NOTHING, Null, is_null
 from ..errors import ReproError, SchemaError
 from .core import SignatureChaseCore
-from .engine import _TAG_CONST, _TAG_NOTHING, ChaseResult
-from .sharded import sharded_chase
+from .engine import _TAG_CONST, _TAG_NOTHING, ChaseResult, chase
 
 
 class ResultAnswer(ChaseResult):
@@ -237,9 +236,6 @@ class ChaseSession(SignatureChaseCore):
         #: ``False`` forces the PR-3 rewind/rebuild discipline (kept as a
         #: switch so benchmarks and differential tests can race the two)
         self._fast_retire = fast_retire
-        #: the structural shard plan for :meth:`verify`'s sharded re-chase,
-        #: computed once per FD set and cached — :meth:`set_fds` re-plans
-        self._plan: Optional[Any] = None
         #: op-outcome counters, kept across rebuilds (see :meth:`stats`)
         self._stats: Dict[str, int] = {
             "retire_fast": 0,
@@ -750,28 +746,12 @@ class ChaseSession(SignatureChaseCore):
         self._ratchet_mark = len(trail)
         return committed
 
-    # -- shard planning and verification -----------------------------------
-
-    def plan(self):
-        """The cached structural shard plan for this schema and FD set
-        (:func:`repro.chase.plan.plan_shards`): FD components, their
-        columns, and the bypass columns no FD touches.  Cover-pruned
-        (``plan.dropped`` lists the redundant FDs) — the pruned set is
-        Armstrong-equivalent, so every verification chase it feeds
-        reaches the same fixpoint.  Computed lazily, reused across
-        mutations (it depends only on schema + FDs), and invalidated by
-        :meth:`set_fds`."""
-        if self._plan is None:
-            from .plan import plan_shards  # local: avoids import cycle
-
-            self._plan = plan_shards(self.schema, self.fds, prune=True)
-        return self._plan
+    # -- FD set and verification -------------------------------------------
 
     @_audited
     def set_fds(self, fds: Iterable[FDInput]) -> None:
         """Swap the session's FD set and re-chase (level rebuild).
 
-        The cached shard plan is dropped and re-planned on next use.
         Refused on journalled sessions (the durable layer fixes a
         relation's FD set at create time — its WAL records carry no FD
         changes).  Snapshots taken under the old FD set remain honored,
@@ -784,18 +764,23 @@ class ChaseSession(SignatureChaseCore):
             )
         normalized = [as_fd(fd).validate(self.schema).normalized() for fd in fds]
         self.fds = normalized
-        self._plan = None
         self._rebuild(list(self._raw_rows))
 
     def verify(self) -> bool:
         """Re-chase the raw rows from scratch and compare field-by-field
         against the maintained fixpoint — the session invariant, on demand.
 
-        The reference is the sharded chase over the cached structural plan.
+        The reference is :func:`~repro.chase.engine.chase` under the FD
+        set's minimal cover: Theorem 4's fixpoint depends on the FD set
+        only through its closure, so the cover reaches the same rows, NEC
+        classes and substitutions with fewer rules to sign and fire.
+        :meth:`repro.db.ManagedRelation.verify` and ``repro db recover``
+        call this.
         """
-        reference = sharded_chase(
-            self.raw_relation(), self.fds, plan=self.plan()
-        )
+        # imported here: keeps repro.armstrong off the served import path
+        from ..armstrong.cover import minimal_cover
+
+        reference = chase(self.raw_relation(), minimal_cover(self.fds))
         mine = self.result()
         return (
             [row.values for row in mine.relation.rows]

@@ -1,7 +1,6 @@
-"""The batch extended-mode chase: maintained per-column root arrays.
+"""The extended-mode chase: one vector state over the FD-mentioned columns.
 
-This is the engine behind ``chase(mode="extended")`` and behind every
-shard of :func:`~repro.chase.sharded.sharded_chase`.  Instead of the
+This is the engine behind ``chase(mode="extended")``.  Instead of the
 session's per-``(fd, row)`` signature dict
 (:class:`~repro.chase.core.SignatureChaseCore`), which a batch run would
 build only to throw away, it keeps a **flat integer array of class roots
@@ -20,24 +19,32 @@ stable throughout the pass, i.e. a true fixpoint check.  Termination: a
 regroup either fires a class-reducing merge or retires its FD from the
 dirty set, and only merges re-add entries.
 
+**Column bypass.**  An NS-rule for ``X -> Y`` reads and writes only cells
+of ``X ∪ Y``, so a column no FD mentions leaves the chase as it entered.
+:func:`extended_chase` therefore builds its state over the FD-mentioned
+columns only and splices the others back (:func:`_splice`); which path
+runs is read off the schema and the FD set alone.
+
 The result is field-identical to the sweep engine and the session
-(Theorem 4); ``tests/chase/test_indexed.py`` pins it against sweep on
-randomized instances.  Under ``REPRO_SANITIZE=1`` every fixpoint is
-audited (:func:`repro.analysis.sanitize.audit_core`), root arrays
-included.
+(Theorem 4); ``tests/chase/test_indexed.py`` and
+``tests/chase/test_bypass.py`` pin it against sweep on randomized
+instances.  Under ``REPRO_SANITIZE=1`` every fixpoint is audited
+(:func:`repro.analysis.sanitize.audit_core`), root arrays included.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Set, Tuple
+from dataclasses import replace
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
-from ..core.fd import FDInput
+from ..core.fd import FDInput, as_fd
 from ..core.relation import Relation
+from ..core.schema import RelationSchema
+from ..core.tuples import Row
+from ..core.values import Null
 from .engine import MODE_EXTENDED, ChaseResult, ChaseState
-
-STRATEGY_VECTOR = "vector"
-
 
 class VectorChaseState(ChaseState):
     """Extended-mode chase over maintained per-column root arrays."""
@@ -124,9 +131,104 @@ class VectorChaseState(ChaseState):
                     apply_pair(fd, anchor, row)
 
 
-def vectorized_chase(relation: Relation, fds: Iterable[FDInput]) -> ChaseResult:
-    """The unique minimally incomplete instance via maintained root arrays —
-    what ``chase(relation, fds)`` runs in extended mode."""
-    state = VectorChaseState(relation, fds)
+def extended_chase(
+    relation: Relation, fds: Iterable[FDInput], strategy: str
+) -> ChaseResult:
+    """The unique minimally incomplete instance of Theorem 4 — what
+    ``chase(relation, fds)`` runs in extended mode.
+
+    One :class:`VectorChaseState` runs over the columns some FD mentions;
+    the other columns are spliced back unchanged, but for the nulls the
+    chase grounded or merged.  With every column mentioned there is
+    nothing to splice, and with no FD the input is already the fixpoint.
+    """
+    schema = relation.schema
+    fd_list = [as_fd(fd).validate(schema).normalized() for fd in fds]
+    columns = sorted(
+        {col for fd in fd_list for col in schema.positions(fd.lhs + fd.rhs)}
+    )
+    if not columns:
+        return ChaseResult(
+            Relation(schema, relation.rows), [], {}, [], 0, MODE_EXTENDED, strategy
+        )
+    if len(columns) == len(schema):
+        state = VectorChaseState(relation, fd_list)
+        state.run_vectorized()
+        return state.result(strategy)
+    sub = Relation(
+        RelationSchema(schema.name, [schema.attributes[c] for c in columns]),
+        [[row.values[c] for c in columns] for row in relation.rows],
+    )
+    state = VectorChaseState(sub, fd_list)
     state.run_vectorized()
-    return state.result(STRATEGY_VECTOR)
+    return _splice(relation, columns, state.result(strategy))
+
+
+def _splice(
+    relation: Relation, columns: Sequence[int], chased: ChaseResult
+) -> ChaseResult:
+    """Put ``chased`` (the chase of ``relation``'s ``columns``) back into
+    the full rows, field-identical to an all-columns chase.
+
+    The engines show each NEC class as its earliest-registered member,
+    registered in row-major order over *all* columns.  While no null sits
+    in a bypassed column, the sub-state's registration order is that
+    order and only the columns need interleaving.  Otherwise every null is
+    ranked by its first row-major occurrence over all columns, class
+    members, classes and substitutions are sorted by that rank, and every
+    cell holding a superseded representative or a grounded null — in a
+    chased column or a bypassed one — is rewritten.
+    """
+    schema = relation.schema
+    width = len(schema)
+    # output column c reads the input row at c, or chased column k at
+    # width + k of the input row and the chased row laid end to end
+    source = list(range(width))
+    for k, col in enumerate(columns):
+        source[col] = width + k
+    pick = itemgetter(*source)
+    spliced = [
+        pick(row.values + chased_row.values)
+        for row, chased_row in zip(relation.rows, chased.relation.rows)
+    ]
+    bypassed = set(range(width)).difference(columns)
+    nec_classes = chased.nec_classes
+    substitutions = chased.substitutions
+    if any(
+        isinstance(row.values[col], Null)
+        for row in relation.rows
+        for col in bypassed
+    ):
+        rank: Dict[int, int] = {}
+        for row in relation.rows:
+            for value in row.values:
+                if isinstance(value, Null) and id(value) not in rank:
+                    rank[id(value)] = len(rank)
+
+        def first_seen(null_obj: Null) -> int:
+            return rank[id(null_obj)]
+
+        nec_classes = sorted(
+            (tuple(sorted(cls, key=first_seen)) for cls in nec_classes),
+            key=lambda cls: first_seen(cls[0]),
+        )
+        substitutions = dict(
+            sorted(substitutions.items(), key=lambda item: first_seen(item[0]))
+        )
+        #: id(null) -> what a cell holding that null shows
+        shown: Dict[int, Any] = {
+            id(member): cls[0] for cls in nec_classes for member in cls[1:]
+        }
+        shown.update(
+            (id(null_obj), value) for null_obj, value in substitutions.items()
+        )
+        spliced = [
+            [shown.get(id(v), v) if isinstance(v, Null) else v for v in values]
+            for values in spliced
+        ]
+    return replace(
+        chased,
+        relation=Relation(schema, [Row(schema, values) for values in spliced]),
+        nec_classes=nec_classes,
+        substitutions=substitutions,
+    )

@@ -68,24 +68,8 @@ class OpLog:
         self._handle = open(path, "a", encoding="utf-8")
 
     def append(self, payload: dict) -> None:
-        handle = self._handle
-        mark = handle.tell()
-        try:
-            handle.write(dump_json(payload) + "\n")
-            if self.sync != SYNC_NONE:
-                handle.flush()
-                if self.sync == SYNC_FSYNC:
-                    os.fsync(handle.fileno())
-        except Exception:
-            # the op this record announces will now abort unapplied, so
-            # any bytes that did land must not survive: a partial line
-            # would read as corruption (records after it) and a whole one
-            # would replay an op that was reported as failed
-            try:
-                handle.truncate(mark)
-            except OSError:  # pragma: no cover - double-fault: leave torn
-                pass
-            raise
+        """Append one record: :meth:`append_many` of a one-record batch."""
+        self.append_many([payload])
 
     def append_many(self, payloads: Sequence[dict]) -> None:
         """Append a batch of records with one write and one sync point.

@@ -440,14 +440,13 @@ class ReproServer:
         mode = request.get("mode", "least")
         node = parse_query(text)
         if request.get("explain"):
-            # plan-only: answered from the raw instance, lease-free
-            env = {
-                name: db.relation(name).raw_relation() for name in db.names()
-            }
-            plan_text = Evaluator(env, fds=fds, stats=raw_stats).explain(
-                node, mode=mode
-            )
-            payload: Dict[str, Any] = {"plan": plan_text}
+            # plan-only: analyzed over the raw stats of the relations the
+            # query scans, lease-free and without copying any relation
+            # (looked up per call, as the plan linter does)
+            from ..query.optimize import optimize_tree, render_plan
+
+            plan = optimize_tree(node, catalog, raw_stats, fds, mode)
+            payload: Dict[str, Any] = {"plan": render_plan(plan)}
             if diagnostics:
                 payload["diagnostics"] = [d.to_payload() for d in diagnostics]
             return _ok(request_id, **payload)

@@ -26,7 +26,7 @@ from repro.chase.engine import (
     STRATEGY_ROUND_ROBIN,
     chase,
 )
-from repro.chase.vector import vectorized_chase
+from repro.chase.vector import VectorChaseState
 from repro.core.values import NOTHING
 
 from ..helpers import rel
@@ -69,7 +69,9 @@ class TestWorklistBehaviour:
         """The extended-mode default is the vector engine."""
         r = rel("A B", [("a", "-"), ("a", "b1")])
         via_chase = chase(r, ["A -> B"], mode=MODE_EXTENDED)
-        direct = vectorized_chase(r, ["A -> B"])
+        state = VectorChaseState(r, ["A -> B"])
+        state.run_vectorized()
+        direct = state.result(STRATEGY_ROUND_ROBIN)
         assert_field_identical(via_chase, direct)
         assert via_chase.applications == direct.applications
         assert via_chase.passes == direct.passes

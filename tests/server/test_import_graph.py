@@ -1,7 +1,7 @@
 """The served import graph: starting a server loads no heavy optional
 machinery.
 
-The sharded chase runs in-process on the stdlib vector engine, so
+The chase runs in-process on the stdlib vector engine, so
 ``import repro.server`` must pull in neither ``numpy`` nor
 ``multiprocessing`` — each server launch would otherwise pay their import
 time and resident memory for code the served path never runs.

@@ -233,3 +233,26 @@ def test_a_refused_batch_keeps_the_view(tmp_path, monkeypatch):
 
     before, after = asyncio.run(go())
     assert after == before
+
+
+def test_explain_builds_raw_stats_for_the_scanned_relation_only(tmp_path, monkeypatch):
+    """``explain: true`` analyzes the tree over the raw rows' stats of the
+    relations it scans: no fixpoint, no copy of any other relation."""
+
+    async def go():
+        server = await started(tmp_path)
+        builds = Builds(monkeypatch, server)
+        response = await server.handle(
+            {"do": "query", "q": "s where B = 'b1'", "mode": "least", "explain": True}
+        )
+        await server.stop()
+        return response, builds.snapshot()
+
+    response, (results, stats) = asyncio.run(go())
+    assert response["ok"], response
+    assert response["plan"] == (
+        "Select B = 'b1' rows<=2 nullable=B keys=(B) ground<=3\n"
+        "  Scan s rows<=2 nullable=B keys=(B)"
+    )
+    assert results == {}
+    assert stats == {"s": 1}
