@@ -76,6 +76,11 @@ from .errors import (
     ReproError,
     SchemaError,
 )
+from .chase import ChaseSession, minimally_incomplete, weakly_satisfiable
+from .db import Database
+from .explain import explain_chase, explain_fd_value
+from .testfd import check_fds
+from .updates import GuardedRelation
 
 __version__ = "1.0.0"
 
@@ -121,51 +126,13 @@ __all__ = [
     "ConventionError",
     "NotMinimallyIncompleteError",
     "InconsistentInstanceError",
+    # the higher layers
+    "minimally_incomplete",
+    "weakly_satisfiable",
+    "check_fds",
+    "ChaseSession",
+    "GuardedRelation",
+    "Database",
+    "explain_chase",
+    "explain_fd_value",
 ]
-
-
-def _late_imports() -> None:
-    """Extend the top-level namespace with the higher layers.
-
-    Kept in a function so that a partial checkout (core only) still imports;
-    the full library always succeeds.
-    """
-    global minimally_incomplete, weakly_satisfiable, check_fds  # noqa: PLW0603
-    global ChaseSession, GuardedRelation, Database  # noqa: PLW0603
-    global explain_chase, explain_fd_value  # noqa: PLW0603
-
-    from .chase import ChaseSession as _cs
-    from .chase import minimally_incomplete as _mi
-    from .chase import weakly_satisfiable as _ws
-    from .db import Database as _db
-    from .explain import explain_chase as _ec
-    from .explain import explain_fd_value as _ef
-    from .testfd import check_fds as _cf
-    from .updates import GuardedRelation as _gr
-
-    minimally_incomplete = _mi
-    weakly_satisfiable = _ws
-    check_fds = _cf
-    ChaseSession = _cs
-    GuardedRelation = _gr
-    Database = _db
-    explain_chase = _ec
-    explain_fd_value = _ef
-    __all__.extend(
-        [
-            "minimally_incomplete",
-            "weakly_satisfiable",
-            "check_fds",
-            "ChaseSession",
-            "GuardedRelation",
-            "Database",
-            "explain_chase",
-            "explain_fd_value",
-        ]
-    )
-
-
-try:  # pragma: no cover - exercised implicitly by every import
-    _late_imports()
-except ImportError:  # pragma: no cover - partial-checkout fallback
-    pass

@@ -134,7 +134,6 @@ def render_report(diagnostics: List[Diagnostic], kind: str = "line") -> str:
 #: to E_RUNTIME rather than misclassifying.  Parse and decode failures
 #: never get here: they raise a coded OpError.
 _MESSAGE_RULES = (
-    ("rollback without a snapshot", "E_ROLLBACK_UNDERFLOW"),
     ("outstanding snapshot", "E_CHECKPOINT_HELD"),
     ("cell is not null", "E_FILL_CONST"),
     ("no row at index", "E_BAD_INDEX"),

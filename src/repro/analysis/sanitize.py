@@ -22,7 +22,8 @@ Audit scope, per entry point:
 
 * :func:`audit_core` — union-find forest integrity (parent pointers in
   range, no cycles, ``size`` totals equal to recomputed class
-  populations), tag table keyed by exactly the live roots, occurrence
+  populations), tag table keyed by exactly the live roots with the
+  nothing node's root the only NOTHING-tagged one, occurrence
   index equal to a recomputation from the encoded cells, class weights
   no smaller than their occurrence counts, the vector engine's per-column
   root arrays equal to the cells' class roots (run at the end of every
@@ -152,6 +153,16 @@ def audit_core(core: Any) -> None:
             if untagged:
                 _fail("tags", f"roots with no tag: {_sample(untagged)}")
             _fail("tags", f"tags keyed by non-roots: {_sample(stale)}")
+        # every NOTHING cell is one class: the only NOTHING-tagged root is
+        # the nothing node's (a poisoning merge joins it)
+        nothing = core._nothing_node
+        poisoned = {root for root, (kind, _) in tags.items() if kind == "nothing"}
+        if poisoned != (set() if nothing is None else {root_of[nothing]}):
+            _fail(
+                "tags",
+                f"NOTHING-tagged roots {_sample(poisoned)} are not exactly "
+                f"the nothing node {nothing!r}'s root",
+            )
 
     cells = getattr(core, "cells", None)
     occ = getattr(core, "_occ", None)

@@ -24,6 +24,13 @@ cell holding it, which is exactly the extension's propagation.  Each class
 carries a tag (constant / null / nothing); tag merging implements rules
 (a), (b) and the extension in one place.
 
+The rule every engine keeps: **every NOTHING cell is one class**.  A
+NOTHING cell of the input is interned to the one nothing node, and a
+merge that poisons two consistent classes (two distinct constants) also
+joins that node's class, whoever asked for it — an NS-rule firing or a
+session's fill.  So two NOTHING cells always agree as left-hand-side
+values, and "does any cell hold NOTHING" is one lookup.
+
 The engine is *strategy-parametric* in basic mode: the order in which FDs
 fire is observable (Figure 5), so callers choose it.  In extended mode any
 strategy reaches the same fixpoint (verified wholesale by the tests and
@@ -193,9 +200,6 @@ class ChaseState:
                 self._trail.append(("newnothing", self._nothing_node))
         return self.uf.find(self._nothing_node)
 
-    def tag_of(self, node: int) -> Tuple[str, Any]:
-        return self.tags[self.uf.find(node)]
-
     def _columns_of(
         self, fd: FD
     ) -> Tuple[FD, Tuple[int, ...], Tuple[Tuple[str, int], ...]]:
@@ -213,9 +217,11 @@ class ChaseState:
     def _merge(self, first: int, second: int) -> int:
         """Union two classes and combine their tags.
 
-        Returns the surviving root.  Caller guarantees the merge is legal
-        for the current mode (basic mode never calls with two distinct
-        constants).
+        Returns the surviving root.  A merge that poisons two consistent
+        classes joins the nothing class as well, so every NOTHING cell
+        stays in one class (the module's rule).  Caller guarantees the
+        merge is legal for the current mode (basic mode never calls with
+        two distinct constants).
         """
         a, b = self.uf.find(first), self.uf.find(second)
         if a == b:
@@ -226,7 +232,13 @@ class ChaseState:
             # union first, then restores both original tags
             self._trail.append(("tags", a, tag_a, b, tag_b))
         root = self.uf.union(a, b)
-        self.tags[root] = self._combine(tag_a, tag_b)
+        tag = self.tags[root] = self._combine(tag_a, tag_b)
+        if (
+            tag[0] == _TAG_NOTHING
+            and tag_a[0] != _TAG_NOTHING
+            and tag_b[0] != _TAG_NOTHING
+        ):
+            return self._merge(root, self._nothing())
         return root
 
     @staticmethod
@@ -277,8 +289,7 @@ class ChaseState:
                     continue
                 if self.mode == MODE_BASIC:
                     continue  # Definition 2 has no rule here; a violation
-                root = self._merge(node_a, node_b)
-                self._merge(root, self._nothing())
+                self._merge(node_a, node_b)
                 action = "nothing"
             elif kind_a == _TAG_NULL and kind_b == _TAG_NULL:
                 self._merge(node_a, node_b)

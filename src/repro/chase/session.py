@@ -91,7 +91,7 @@ from ..core.tuples import Row
 from ..core.values import NOTHING, Null, is_null
 from ..errors import ReproError, SchemaError
 from .core import SignatureChaseCore
-from .engine import _TAG_CONST, _TAG_NOTHING, ChaseResult, chase
+from .engine import _TAG_CONST, _TAG_NOTHING, Application, ChaseResult, chase
 
 
 class ResultAnswer(ChaseResult):
@@ -978,21 +978,39 @@ class ChaseSession(SignatureChaseCore):
 
     def result(self, strategy: str = STRATEGY_SESSION) -> "ResultAnswer":
         """The maintained fixpoint (a :class:`ChaseResult` that also
-        speaks the unified answer schema — see :class:`ResultAnswer`)."""
-        return ResultAnswer(super().result(strategy))
+        speaks the unified answer schema — see :class:`ResultAnswer`).
+
+        Its ``applications`` name rows by index, as a batch chase's do.
+        The engine records slots, which part from indices once an
+        in-place retirement leaves a tombstone (a replace's rotation
+        needs one first); only then are the firings remapped.
+        """
+        answer = ResultAnswer(super().result(strategy))
+        slots = self._slots
+        if len(slots) != len(self.cells):
+            row_of = {slot: index for index, slot in enumerate(slots)}
+            answer.applications = [
+                Application(
+                    app.fd,
+                    row_of[app.first_row],
+                    row_of[app.second_row],
+                    app.attribute,
+                    app.action,
+                )
+                for app in answer.applications
+            ]
+        return answer
 
     @property
     def has_nothing(self) -> bool:
         """Live Theorem 4(b) verdict: weak satisfiability fails iff True.
 
-        Weak satisfiability over unbounded domains: a declared finite
-        domain is not consulted (see
+        Every NOTHING cell is in the one nothing class (see
+        :mod:`repro.chase.engine`), so this reads whether that class
+        holds a cell.  Weak satisfiability over unbounded domains: a
+        declared finite domain is not consulted (see
         :func:`repro.chase.minimal.weakly_satisfiable`)."""
-        tags = self.tags
-        for root, cells in self._occ.items():
-            if cells and tags[root][0] == _TAG_NOTHING:
-                return True
-        return False
+        return bool(self._occ.get(self.uf.find(self._nothing_node)))
 
     def substitutions(self) -> Dict[Null, Any]:
         """Null → forced value, for every null the constraints ground

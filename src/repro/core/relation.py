@@ -17,6 +17,7 @@ The module implements the paper's completion sets:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import (
     Any,
     Callable,
@@ -216,49 +217,14 @@ class Relation:
         completions would exceed it, :class:`repro.errors.DomainError` is
         raised *before* enumeration starts.
         """
-        attrs = (
-            self.schema.attributes
-            if attributes is None
-            else self.schema.validate_attrs(attributes)
-        )
-        class_of: Callable[[Null], Any]
-        if null_classes is None:
-            class_of = id
-        else:
-            class_of = lambda n: null_classes.get(n, id(n))  # noqa: E731
-
-        # Group null cells by equivalence class; each class gets one choice.
-        # A class may span several attributes (NECs across columns); its
-        # choice set is the intersection of the involved enumeration domains.
-        class_domains: Dict[Any, List[Any]] = {}
-        class_nulls: Dict[Any, List[Null]] = {}
-        order: List[Any] = []
-        for attr in attrs:
-            domain_values: Optional[Tuple[Any, ...]] = None
-            for value in self.column(attr):
-                if not is_null(value):
-                    continue
-                key = class_of(value)
-                if domain_values is None:
-                    domain_values = tuple(self.enumeration_domain(attr))
-                if key not in class_domains:
-                    class_domains[key] = list(domain_values)
-                    class_nulls[key] = [value]
-                    order.append(key)
-                else:
-                    allowed = set(domain_values)
-                    class_domains[key] = [
-                        v for v in class_domains[key] if v in allowed
-                    ]
-                    if all(n is not value for n in class_nulls[key]):
-                        class_nulls[key].append(value)
-        if not order:
+        classes = self._null_classes(attributes, null_classes)
+        if not classes:
             yield Relation(self.schema, list(self.rows))
             return
 
         total = 1
-        for key in order:
-            total *= max(len(class_domains[key]), 0)
+        for choices, _ in classes:
+            total *= len(choices)
             if limit is not None and total > limit:
                 raise DomainError(
                     f"completion enumeration would produce more than "
@@ -267,10 +233,10 @@ class Relation:
         if total == 0:
             return  # some class has an empty choice set: no completions
 
-        for combo in itertools.product(*(class_domains[key] for key in order)):
+        for combo in itertools.product(*(choices for choices, _ in classes)):
             substitution: Dict[Null, Any] = {}
-            for key, value in zip(order, combo):
-                for null_obj in class_nulls[key]:
+            for (_, nulls), value in zip(classes, combo):
+                for null_obj in nulls:
                     substitution[null_obj] = value
             yield Relation(
                 self.schema, [row.substitute(substitution) for row in self.rows]
@@ -282,26 +248,54 @@ class Relation:
         null_classes: Mapping[Null, Any] | None = None,
     ) -> int:
         """Number of completions :meth:`completions` would yield."""
+        return math.prod(
+            len(choices)
+            for choices, _ in self._null_classes(attributes, null_classes)
+        )
+
+    def _null_classes(
+        self,
+        attributes: AttrsInput | None,
+        null_classes: Mapping[Null, Any] | None,
+    ) -> List[Tuple[List[Any], List[Null]]]:
+        """The null classes among ``attributes`` in first-occurrence order,
+        each as (the constants it may take, its null objects).
+
+        A class is one null object, or the nulls ``null_classes`` maps to
+        one key.  It may span several attributes (NECs across columns, or
+        one null in two columns); its choices are then the intersection of
+        the involved enumeration domains.
+        """
         attrs = (
             self.schema.attributes
             if attributes is None
             else self.schema.validate_attrs(attributes)
         )
-        class_of = (lambda n: null_classes.get(n, id(n))) if null_classes else id
-        sizes: Dict[Any, int] = {}
+        class_of: Callable[[Null], Any]
+        if null_classes is None:
+            class_of = id
+        else:
+            class_of = lambda n: null_classes.get(n, id(n))  # noqa: E731
+
+        classes: Dict[Any, Tuple[List[Any], List[Null]]] = {}
         for attr in attrs:
-            domain_size: Optional[int] = None
+            domain: Optional[Tuple[Any, ...]] = None
             for value in self.column(attr):
                 if not is_null(value):
                     continue
-                if domain_size is None:
-                    domain_size = len(self.enumeration_domain(attr))
+                if domain is None:
+                    domain = tuple(self.enumeration_domain(attr))
+                    allowed = set(domain)
                 key = class_of(value)
-                sizes[key] = min(sizes.get(key, domain_size), domain_size)
-        result = 1
-        for size in sizes.values():
-            result *= size
-        return result
+                entry = classes.get(key)
+                if entry is None:
+                    classes[key] = (list(domain), [value])
+                    continue
+                choices, nulls = entry
+                choices[:] = [v for v in choices if v in allowed]
+                if all(n is not value for n in nulls):
+                    nulls.append(value)
+        return list(classes.values())
 
     # -- rendering ----------------------------------------------------------------
 

@@ -5,10 +5,10 @@ each backed by a live :class:`~repro.chase.session.ChaseSession` plus a
 write-ahead op log:
 
 * every mutation (insert / delete / update / replace / fill / reset /
-  adopt, plus the snapshot/rollback pair) is **journalled before it is
-  applied** — the session's op-record hook fires after validation, the
-  managed relation appends the encoded record to ``wal.jsonl``, and only
-  then does the engine mutate;
+  adopt, plus the snapshot stack's snapshot / rollback / discard) is
+  **journalled before it is applied** — the session's op-record hook
+  fires after validation, the managed relation appends the encoded
+  record to ``wal.jsonl``, and only then does the engine mutate;
 * :meth:`Database.open` recovers each relation by loading the last
   checkpoint (raw rows + canonical null identity) and replaying the log
   tail through the ordinary mutator vocabulary — so shared nulls, forced
@@ -38,7 +38,7 @@ import contextlib
 import re
 import shutil
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
 from ..chase.session import ChaseSession, SessionSnapshot
 from ..core.codec import (
@@ -50,10 +50,9 @@ from ..core.codec import (
 )
 from ..core.domain import Domain
 from ..core.fd import FDInput
-from ..core.relation import Relation
 from ..core.schema import RelationSchema
-from ..core.tuples import Row
 from ..errors import DatabaseError
+from ..opschema import SessionTarget
 from . import log as oplog
 from . import storage
 from .log import OpLog, SYNC_FSYNC, SYNC_MODES
@@ -62,19 +61,22 @@ from .recovery import replay
 _NAME = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 
 
-class ManagedRelation:
+class ManagedRelation(SessionTarget):
     """One named relation of a :class:`Database`: a chase session whose
     every mutation is journalled to a write-ahead op log.
 
-    The session's full vocabulary is proxied (`insert`, `delete`,
-    `update`, `replace`, `fill`, `reset`, `adopt`, `check`, `result`,
-    `has_nothing`, `explain`); :meth:`snapshot` / :meth:`rollback` are a
-    journalled LIFO pair (depth-returning, so scripts can nest them).
-    The underlying session is reachable as :attr:`session` — but bypassing
-    the proxy for *mutations* is safe too: the journal hook lives on the
-    session itself.  Only ``session.snapshot()``/``session.rollback()``
-    must not be called directly on a managed relation (they would not be
-    journalled; use the proxy pair).
+    A managed relation is the session's
+    :class:`~repro.opschema.SessionTarget` (mutators, the depth-returning
+    snapshot stack, and every other session member resolve there) with
+    its ``on_op`` hook pointed at :meth:`_journal`.  All ten mutation
+    records — the seven the session's mutators emit and the
+    ``snapshot``/``rollback``/``discard`` the stack emits — pass that one
+    hook, so calling a mutator on :attr:`session` directly is journalled
+    too.  Only ``session.snapshot()``/``session.rollback()`` must not be
+    called directly (they would not be journalled; use the target's
+    pair).  What durability adds: the encoded journal, :attr:`seq` and
+    :attr:`checkpoint_seq`, cut-stamped :meth:`result`/:meth:`check`,
+    :meth:`checkpoint`, :meth:`close`.
     """
 
     def __init__(
@@ -89,17 +91,15 @@ class ManagedRelation:
         recovery_info: Optional[dict] = None,
         snapshots: Optional[List[SessionSnapshot]] = None,
     ) -> None:
+        # recovery hands in the stack its replay rebuilt, so a snapshot
+        # outstanding at crash time can still be rolled back
+        super().__init__(session, snapshots)
         self.name = name
         self._dir = directory
-        self.session = session
         self._codec = codec
         self._wal = wal
         self._seq = seq
         self._checkpoint_seq = checkpoint_seq
-        #: the journalled snapshot stack — recovery rebuilds it from the
-        #: replayed ``snapshot``/``rollback`` records, so a snapshot
-        #: outstanding at crash time can still be rolled back
-        self._snapshots: List[SessionSnapshot] = snapshots or []
         #: how the relation came back: {"replayed", "torn_tail_dropped",
         #: "checkpoint_seq", "rows"} — surfaced by ``repro db recover``
         self.recovery_info = recovery_info or {
@@ -143,11 +143,6 @@ class ManagedRelation:
         """The seq the on-disk checkpoint covers."""
         return self._checkpoint_seq
 
-    @property
-    def snapshots(self) -> Tuple[SessionSnapshot, ...]:
-        """The outstanding snapshot tokens, oldest first (a copy)."""
-        return tuple(self._snapshots)
-
     def encode_value(self, value: Any) -> Any:
         """Encode one cell in the relation's canonical wire/log form."""
         return self._codec.encode(value)
@@ -161,57 +156,7 @@ class ManagedRelation:
         (Static check only — decoding stays lenient.)"""
         return self._codec.knows(canonical)
 
-    # -- mutation proxies --------------------------------------------------
-
-    def insert(self, values: Sequence[Any] | Row) -> int:
-        return self.session.insert(values)
-
-    def delete(self, index: int) -> None:
-        self.session.delete(index)
-
-    def update(self, index: int, changes: Mapping[str, Any]) -> None:
-        self.session.update(index, changes)
-
-    def replace(self, index: int, values: Sequence[Any] | Row) -> None:
-        self.session.replace(index, values)
-
-    def fill(self, index: int, attribute: str, value: Any) -> None:
-        self.session.fill(index, attribute, value)
-
-    def reset(self, rows: Iterable[Sequence[Any] | Row]) -> None:
-        self.session.reset(rows)
-
-    def adopt(self) -> dict:
-        return self.session.adopt()
-
-    def snapshot(self) -> int:
-        """Journal and push a checkpointable mark; returns the stack depth."""
-        self._journal(("snapshot",))
-        self._snapshots.append(self.session.snapshot())
-        return len(self._snapshots)
-
-    def rollback(self) -> int:
-        """Journal and restore the most recent :meth:`snapshot`; returns
-        the depth of the snapshot that was restored."""
-        if not self._snapshots:
-            raise DatabaseError(f"{self.name}: rollback without a snapshot")
-        self._journal(("rollback",))
-        self.session.rollback(self._snapshots.pop())
-        return len(self._snapshots) + 1
-
-    def discard_snapshots(self) -> int:
-        """Journal and drop every outstanding snapshot *without* rolling
-        back (the state keeps everything since); returns how many were
-        discarded.  This is what unblocks :meth:`checkpoint` when a
-        snapshot was taken and never rolled back."""
-        if not self._snapshots:
-            return 0
-        self._journal(("discard",))
-        discarded = len(self._snapshots)
-        self._snapshots.clear()
-        return discarded
-
-    # -- read proxies ------------------------------------------------------
+    # -- cut-stamped reads -------------------------------------------------
 
     def result(self):
         """The maintained fixpoint, stamped with the relation's journal
@@ -222,23 +167,6 @@ class ManagedRelation:
     def check(self, *args, **kwargs):
         """TEST-FDs, stamped with the relation's journal cut."""
         return self.session.check(*args, **kwargs).at(self.seq)
-
-    def explain(self) -> str:
-        return self.session.explain()
-
-    @property
-    def has_nothing(self) -> bool:
-        return self.session.has_nothing
-
-    @property
-    def rows(self):
-        return self.session.rows
-
-    def raw_relation(self) -> Relation:
-        return self.session.raw_relation()
-
-    def __len__(self) -> int:
-        return len(self.session)
 
     def stats(self) -> Dict[str, int]:
         """Session op-outcome counters plus the durable ones: ``rows``,
@@ -293,9 +221,9 @@ class ManagedRelation:
         writer does): truncating the log under an in-flight batch append
         would interleave the two on one file handle.
         """
-        if self._snapshots:
+        if self.snapshots:
             raise DatabaseError(
-                f"{self.name}: checkpoint with {len(self._snapshots)} "
+                f"{self.name}: checkpoint with {len(self.snapshots)} "
                 "outstanding snapshot(s); roll back (or discard) first — "
                 "a checkpoint cannot absorb a snapshot a later rollback "
                 "still needs"

@@ -92,9 +92,10 @@ class OpError(ReproError):
     """An op that is wrong before it touches an engine, with its code.
 
     Raised by the op front ends (a script line that does not parse, a
-    wire request or log record whose fields are malformed), by a bare
-    session's snapshot stack (a rollback without a snapshot) and by the
-    linter's dry run (a constant outside its declared domain).
+    wire request or log record whose fields are malformed), by a
+    session's snapshot stack, durable or not (a rollback without a
+    snapshot) and by the linter's dry run (a constant outside its
+    declared domain).
     ``code`` is a :data:`repro.analysis.diagnostics.CODES` key and
     ``hint`` an optional suggested fix.
     """

@@ -17,11 +17,10 @@ yields the script's read records, ``("check", convention)``,
 log payload by :func:`repro.db.log.decode_op` and a wire request by
 :func:`repro.db.log.decode_request` (the same layout, refusing two
 records the log may hold but a client should not send).  One
-executor, :func:`apply_op`, then applies a mutation record to any target
-with the session's mutator names and a depth-returning snapshot stack:
-a :class:`repro.db.ManagedRelation`, or a bare session behind
-:class:`SessionTarget` (what a script, recovery and the linter's dry run
-drive).
+executor, :func:`apply_op`, then applies a mutation record to one kind
+of target, a :class:`SessionTarget`: a session plus its snapshot stack,
+what a script, recovery and the linter's dry run drive, and what a
+durable :class:`repro.db.ManagedRelation` is.
 
 The module depends only on the leaf modules :mod:`repro.core.values` and
 :mod:`repro.errors`: the analysis layer imports it without touching the
@@ -59,7 +58,6 @@ class OpSpec:
     script: bool
     wire: bool
     scope: str = "relation"
-    durable_only: bool = False
     script_rank: int = 0
     wire_rank: int = 0
     summary: str = ""
@@ -86,8 +84,7 @@ OPS: Tuple[OpSpec, ...] = (
            summary="pop + restore the latest mark"),
     OpSpec("discard", "mutation", False, True, wire_rank=9,
            summary="drop all outstanding marks"),
-    OpSpec("checkpoint", "admin", True, True, durable_only=True,
-           script_rank=8,
+    OpSpec("checkpoint", "admin", True, True, script_rank=8,
            summary="absorb the WAL tail into the snapshot"),
     OpSpec("rows", "read", False, True, wire_rank=0,
            summary="the raw rows at the cut"),
@@ -236,15 +233,18 @@ def parse_op(text: str) -> Tuple[Any, ...]:
 # ---------------------------------------------------------------------------
 
 
-def apply_op(target: Any, record: Tuple[Any, ...]) -> Dict[str, Any]:
+def apply_op(
+    target: SessionTarget, record: Tuple[Any, ...]
+) -> Dict[str, Any]:
     """Apply one mutation record to ``target``; return the ack fields.
 
-    ``target`` has the session's mutator names plus a depth-returning
-    snapshot stack (``snapshot()`` / ``rollback()`` return depths,
-    ``discard_snapshots()`` a count).  The fields are what the op
-    reports beyond its ``seq``: ``index`` for an insert, ``rows`` after
-    a reset, ``committed`` for an adopt, ``depth`` for a snapshot or
-    rollback, ``discarded`` for a discard.  The record comes from
+    ``target`` is a :class:`SessionTarget` (a durable relation is one):
+    the session's mutators and the target's snapshot stack each hand the
+    record to the session's ``on_op`` hook before the op changes
+    anything, so a hook that raises refuses the op.  The fields are what
+    the op reports beyond its ``seq``: ``index`` for an insert, ``rows``
+    after a reset, ``committed`` for an adopt, ``depth`` for a snapshot
+    or rollback, ``discarded`` for a discard.  The record comes from
     :func:`parse_op` or :func:`repro.db.log.decode_op`, which refuse an
     unknown verb.
     """
@@ -284,14 +284,17 @@ def require_durable(durable: bool) -> None:
 
 
 class SessionTarget:
-    """A bare :class:`~repro.chase.session.ChaseSession` as an
-    :func:`apply_op` target.
+    """A :class:`~repro.chase.session.ChaseSession` as an :func:`apply_op`
+    target: the session plus a depth-returning snapshot stack.
 
-    The session's own ``snapshot()`` hands out tokens; this adapter keeps
-    them on a stack (``snapshots``, a fresh list unless the caller hands
-    one in) with the depth-returning contract a
-    :class:`repro.db.ManagedRelation` journals.  Everything else is the
-    session's.
+    The stack (``snapshots``, a fresh list unless the caller hands one
+    in) holds the session's snapshot tokens.  :meth:`snapshot`,
+    :meth:`rollback` and :meth:`discard_snapshots` hand their records to
+    the session's ``on_op`` hook as its own mutators do (after the op's
+    checks, before any change), so all ten mutation records pass one
+    hook: a durable relation's journal (:class:`repro.db.ManagedRelation`
+    is this class with that hook armed), lint's dry-run probe, or none.
+    Everything else is the session's.
     """
 
     def __init__(
@@ -306,25 +309,32 @@ class SessionTarget:
     def __len__(self) -> int:
         return len(self.session)
 
-    @property
-    def has_nothing(self) -> bool:
-        return self.session.has_nothing
-
     def snapshot(self) -> int:
+        """Emit and push a rollback mark; returns the stack depth."""
+        self.session._emit(("snapshot",))
         self.snapshots.append(self.session.snapshot())
         return len(self.snapshots)
 
     def rollback(self) -> int:
+        """Emit and restore the latest mark; returns the depth of the
+        snapshot that was restored."""
         if not self.snapshots:
             raise OpError(
                 "E_ROLLBACK_UNDERFLOW",
                 "rollback without a snapshot",
                 hint="every rollback needs an earlier unmatched snapshot",
             )
+        self.session._emit(("rollback",))
         self.session.rollback(self.snapshots.pop())
         return len(self.snapshots) + 1
 
     def discard_snapshots(self) -> int:
+        """Emit and drop every outstanding mark *without* rolling back;
+        returns how many were dropped (0, and no record, when none
+        were)."""
+        if not self.snapshots:
+            return 0
+        self.session._emit(("discard",))
         discarded = len(self.snapshots)
         self.snapshots.clear()
         return discarded

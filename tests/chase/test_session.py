@@ -40,6 +40,15 @@ def assert_session_identical(session):
     assert_field_identical(session.result(), from_scratch(session))
 
 
+def assert_firings_name_rows(result):
+    """Every recorded NS-rule firing names two rows of the result that
+    agree on its FD's left-hand side (classes only ever merge)."""
+    rows = result.relation.rows
+    for app in result.applications:
+        first, second = rows[app.first_row], rows[app.second_row]
+        assert first.project(app.fd.lhs) == second.project(app.fd.lhs), app
+
+
 # ---------------------------------------------------------------------------
 # unit coverage of each operation and both rewind paths
 # ---------------------------------------------------------------------------
@@ -381,6 +390,22 @@ class TestViews:
         session.insert(("a", "b1", "c1"))
         assert session.substitutions() == session.result().substitutions
 
+    def test_firings_name_rows_after_an_in_place_retirement(self):
+        session = ChaseSession(SCHEMA, ["A -> B"])
+        for i in range(20):
+            session.insert((f"k{i}", f"b{i}", f"c{i}"))
+        session.insert(("a", "b", "c"))
+        session.insert(("a", null(), "c2"))
+        session.delete(0)  # old and merge-free: retired in place
+        assert session.stats()["retire_fast"] == 1
+        [app] = session.result().applications
+        assert (app.first_row, app.second_row) == (19, 20)
+        assert "on rows 19,20 at B" in session.explain()
+        assert [
+            (a.first_row, a.second_row)
+            for a in from_scratch(session).applications
+        ] == [(19, 20)]
+
 
 # ---------------------------------------------------------------------------
 # randomized differential driver
@@ -503,6 +528,7 @@ def test_session_field_identical_after_every_op(ops, fds):
         assert session.has_nothing == chase(
             Relation(SCHEMA, mirror), fds
         ).has_nothing
+        assert_firings_name_rows(session.result())
 
 
 @given(op_sequences(), _fd_lists)
@@ -525,17 +551,12 @@ def test_session_check_agrees_with_stateless_check(ops, fds):
     assert session.check().satisfied == reference.satisfied
 
 
-@pytest.mark.xfail(
-    reason="pre-existing engine divergence (found by the differential "
-    "above, shrunk and pinned here): once an instance is inconsistent, "
-    "the serial chase matches two NOTHING cells as equal LHS values and "
-    "keeps deriving (here C -> B turns B into NOTHING too), while the "
-    "session's indexed signature buckets skip NOTHING cells.  Both sides "
-    "agree on has_nothing — only post-inconsistency row decoration "
-    "differs.  See the ROADMAP open item on NOTHING-cell chase semantics.",
-    strict=True,
-)
 def test_nothing_cells_rechase_identically_after_inconsistency():
+    """Found by the differential above, shrunk and pinned here.  The
+    fill's fast path poisons row 0's class (C ground to v1, filled v0),
+    and the poisoned class must join the one nothing class: the later
+    NOTHING cell then matches it under C -> B, so B turns NOTHING too, as
+    in a from-scratch chase."""
     fds = ["A -> B", "B -> C", "C -> B"]
     session = ChaseSession(SCHEMA, fds)
     session.insert(Row(SCHEMA, ["v0", "v0", "v0"]))

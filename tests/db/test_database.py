@@ -10,7 +10,7 @@ from repro.chase import ChaseSession, chase
 from repro.core.values import NOTHING, is_null, null
 from repro.db import Database
 from repro.db.storage import CHECKPOINT_NAME, MANIFEST_NAME, WAL_NAME
-from repro.errors import CodecError, DatabaseError, ReproError, SchemaError
+from repro.errors import CodecError, DatabaseError, OpError, ReproError, SchemaError
 
 from ..strategies import assert_recovered_identical
 
@@ -98,7 +98,7 @@ class TestBasics:
     def test_rollback_without_snapshot_is_refused_unjournalled(self, root):
         db = open_db(root)
         people = seed_people(db)
-        with pytest.raises(DatabaseError):
+        with pytest.raises(OpError):
             people.rollback()
         assert len(wal_path(root).read_text().splitlines()) == 2
 
@@ -339,7 +339,7 @@ class TestSnapshotCheckpointInterplay:
         recovered = open_db(root)["people"]
         assert len(recovered) == 3  # discard kept the post-snapshot insert
         assert_recovered_identical(recovered, people.session)
-        with pytest.raises(DatabaseError):
+        with pytest.raises(OpError):
             recovered.rollback()  # the discard emptied the stack durably
 
     def test_outstanding_snapshot_survives_recovery(self, root):
