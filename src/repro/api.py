@@ -21,9 +21,9 @@ speaks one schema:
   checks, ``has_nothing`` for fixpoints, counters for stats).
 
 On the wire every answer-shaped response carries ``"v":``
-:data:`WIRE_VERSION` so clients can dispatch on schema revisions.  The
-legacy top-level response fields remain on the wire alongside the
-unified ones.
+:data:`WIRE_VERSION` so clients can dispatch on schema revisions.  Of
+the legacy top-level response fields only a ``check``'s ``satisfied``
+(and its ``witness``) remain, alongside the same values in ``meta``.
 
 Answers are first-class relations: :meth:`Answer.relation` materializes
 the rows as a :class:`~repro.core.relation.Relation` that can seed a

@@ -5,7 +5,7 @@ One engine per role:
 * :func:`chase` with ``engine="sweep"`` — the strategy-parametric
   Figure 5 chase (:mod:`repro.chase.engine`), the only basic-mode engine
   and the reference every differential suite holds the others to;
-* :func:`chase` in extended mode (``engine="auto"``/``"vector"``) — the
+* :func:`chase` in extended mode (``engine="auto"``) — the
   batch fixpoint over maintained root arrays (:mod:`repro.chase.vector`),
   run over the columns some FD mentions, the others spliced back;
 * :class:`ChaseSession` — the incremental fixpoint on the journalled
@@ -18,7 +18,6 @@ from .vector import VectorChaseState
 from .engine import (
     ENGINE_AUTO,
     ENGINE_SWEEP,
-    ENGINE_VECTOR,
     MODE_BASIC,
     MODE_EXTENDED,
     STRATEGY_FD_ORDER,
@@ -46,7 +45,6 @@ __all__ = [
     "ChaseState",
     "ENGINE_AUTO",
     "ENGINE_SWEEP",
-    "ENGINE_VECTOR",
     "MODE_BASIC",
     "MODE_EXTENDED",
     "STRATEGY_FD_ORDER",

@@ -60,7 +60,6 @@ STRATEGY_RANDOM = "random"
 
 ENGINE_AUTO = "auto"
 ENGINE_SWEEP = "sweep"
-ENGINE_VECTOR = "vector"
 
 _STRATEGIES = (STRATEGY_FD_ORDER, STRATEGY_ROUND_ROBIN, STRATEGY_RANDOM)
 
@@ -474,14 +473,13 @@ def chase(
 
     ``engine`` selects the execution path:
 
-    * ``"auto"`` (default) — the vector engine in extended mode, where
-      Theorem 4 makes the firing order unobservable; the sweep engine in
-      basic mode, where the order *is* the observable (Figure 5) and the
-      strategy must be honored literally.
-    * ``"vector"`` — the maintained-root-array engine
-      (:func:`repro.chase.vector.extended_chase`; extended mode only).  It
-      chases only the columns some FD mentions and splices the others
-      back: an NS-rule never reads or writes a column outside its FD.
+    * ``"auto"`` (default) — in extended mode, where Theorem 4 makes the
+      firing order unobservable, the maintained-root-array vector engine
+      (:func:`repro.chase.vector.extended_chase`).  It chases only the
+      columns some FD mentions and splices the others back: an NS-rule
+      never reads or writes a column outside its FD.  In basic mode,
+      where the order *is* the observable (Figure 5) and the strategy
+      must be honored literally, the sweep engine.
     * ``"sweep"`` — the strategy-parametric multi-pass engine (both
       modes): Figure 5's chase as written, and the reference the
       differential suites hold every faster path to.
@@ -496,18 +494,11 @@ def chase(
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if engine == ENGINE_AUTO:
-        engine = ENGINE_VECTOR if mode == MODE_EXTENDED else ENGINE_SWEEP
-    if engine == ENGINE_VECTOR:
-        if mode != MODE_EXTENDED:
-            raise ValueError(
-                "the vector engine implements the extended (Church-Rosser) "
-                "rules only; use engine='sweep' for basic mode"
-            )
+    if engine == ENGINE_AUTO and mode == MODE_EXTENDED:
         from .vector import extended_chase  # local: avoids import cycle
 
         return extended_chase(relation, fds, strategy)
-    if engine != ENGINE_SWEEP:
+    if engine not in (ENGINE_AUTO, ENGINE_SWEEP):
         raise ValueError(f"unknown chase engine {engine!r}")
     state = ChaseState(relation, fds, mode)
     state.run(strategy=strategy, seed=seed)

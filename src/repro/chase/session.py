@@ -1073,23 +1073,21 @@ class ReadLease:
     Taking a lease costs one raw-row tuple copy — the same cut
     :meth:`ChaseSession.snapshot` records, minus the trail bookkeeping,
     because a lease can never roll the session back; it can only *read*
-    the state as of the cut.  Reads then take one of two paths:
+    the state as of the cut, through :meth:`instance`:
 
     * **live** — while the source session is provably unchanged (its
       :attr:`~ChaseSession.cut` still equals the lease's :attr:`cut`;
-      every session mutation moves it), reads delegate
-      straight to the live session: no copy, no re-chase.  Only valid
-      where nothing can mutate the session mid-read (the server reads
-      live only on its event loop, between ops).
+      every session mutation moves it), the live session itself: no
+      copy, no re-chase.  Only valid where nothing can mutate the
+      session mid-read.
     * **detached** — once the session has moved on, or when
-      ``detached=True`` forces isolation, the lease materializes its own
-      private fixpoint by chasing the frozen raw rows from scratch
-      (built once, cached).  The cost lands on the reader alone: the
-      source session is never touched again, so a writer never waits on
-      however slow a reader is.  By the session invariant (maintained
-      fixpoint == from-scratch chase of the raw rows, field-identically)
-      the detached answer equals what the source would have said at the
-      cut.
+      ``detached=True`` forces isolation, the lease's own private
+      session, chased from the frozen raw rows from scratch (built once,
+      cached).  The cost lands on the reader alone: the source session
+      is never touched again, so a writer never waits on however slow a
+      reader is.  By the session invariant (maintained fixpoint ==
+      from-scratch chase of the raw rows, field-identically) it answers
+      what the source would have answered at the cut.
     """
 
     __slots__ = ("rows", "cut", "_session", "_schema", "_fds", "_detached")
@@ -1119,19 +1117,3 @@ class ReadLease:
         if self._detached is None:
             self._detached = ChaseSession(self._schema, self._fds, rows=list(self.rows))
         return self._detached
-
-    def result(self, detached: bool = False) -> ChaseResult:
-        return self.instance(detached).result()
-
-    def check(self, *args, detached: bool = False, **kwargs):
-        return self.instance(detached).check(*args, **kwargs)
-
-    @property
-    def has_nothing(self) -> bool:
-        return self.instance().has_nothing
-
-    def explain(self, detached: bool = False) -> str:
-        return self.instance(detached).explain()
-
-    def __len__(self) -> int:
-        return len(self.rows)

@@ -5,7 +5,7 @@ Usage (also via ``python -m repro``)::
     repro check  --data t.csv --fds "zip -> city state" [--convention weak]
                  [--method auto|sortmerge|pairwise|batched]
     repro chase  --data t.csv --fds "zip -> city state" [--mode extended]
-                 [--engine auto|sweep|vector]
+                 [--engine auto|sweep]
     repro session --data t.csv --fds "zip -> city state" --script ops.txt
     repro db init PATH --name R --attrs "A B C" --fds "A -> B"
     repro db ingest PATH --name R [--data t.csv] [--script ops.txt]
@@ -36,6 +36,7 @@ reads the script from stdin)::
     adopt                    # commit forced substitutions into the rows
     snapshot                 # push a checkpoint
     rollback                 # pop + restore the latest checkpoint
+    discard                  # drop every outstanding snapshot, keep the rows
     checkpoint               # db scripts only: snapshot rows, truncate log
     check weak               # TEST-FDs against the maintained instance
     stats                    # print the session's op-outcome counters
@@ -69,7 +70,6 @@ from .armstrong import attribute_closure, candidate_keys, minimal_cover
 from .chase import (
     ENGINE_AUTO,
     ENGINE_SWEEP,
-    ENGINE_VECTOR,
     MODE_BASIC,
     MODE_EXTENDED,
     ChaseSession,
@@ -173,6 +173,7 @@ _ECHO = {
     "adopt": "adopt: {committed} substitution(s) committed",
     "snapshot": "snapshot #{depth}",
     "rollback": "rollback to snapshot #{depth}",
+    "discard": "discard: {discarded} snapshot(s) dropped",
 }
 
 
@@ -602,10 +603,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chase_cmd.add_argument(
         "--engine",
-        choices=[ENGINE_AUTO, ENGINE_SWEEP, ENGINE_VECTOR],
+        choices=[ENGINE_AUTO, ENGINE_SWEEP],
         default=ENGINE_AUTO,
-        help="chase engine (auto: vector in extended mode, sweep in basic; "
-        "vector is extended-mode only)",
+        help="chase engine (auto: the vector engine in extended mode, "
+        "sweep in basic; sweep: the Figure 5 chase in either mode)",
     )
     chase_cmd.add_argument("--domain", action="append", metavar="ATTR=v1,v2")
     chase_cmd.set_defaults(func=_cmd_chase)

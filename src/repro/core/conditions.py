@@ -103,7 +103,7 @@ NEVER = Neg(TrueCond())
 
 
 def all_of(operands: Sequence[Cond]) -> Cond:
-    """Conjunction, flattened and pruned by the Kleene value of parts."""
+    """Conjunction, flattened, with every ``TrueCond`` operand dropped."""
     flat: List[Cond] = []
     for operand in operands:
         if isinstance(operand, TrueCond):

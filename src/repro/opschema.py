@@ -60,51 +60,28 @@ class OpSpec:
     scope: str = "relation"
     script_rank: int = 0
     wire_rank: int = 0
-    summary: str = ""
 
 
 OPS: Tuple[OpSpec, ...] = (
-    OpSpec("insert", "mutation", True, True, script_rank=0, wire_rank=0,
-           summary="append one row"),
-    OpSpec("delete", "mutation", True, True, script_rank=1, wire_rank=1,
-           summary="remove the row at an index"),
-    OpSpec("update", "mutation", True, True, script_rank=2, wire_rank=2,
-           summary="assign attributes on the row at an index"),
-    OpSpec("replace", "mutation", True, True, script_rank=3, wire_rank=3,
-           summary="swap the whole tuple at an index"),
-    OpSpec("fill", "mutation", True, True, script_rank=4, wire_rank=4,
-           summary="ground a null cell with a value"),
-    OpSpec("reset", "mutation", False, True, wire_rank=5,
-           summary="replace the instance wholesale"),
-    OpSpec("adopt", "mutation", True, True, script_rank=5, wire_rank=6,
-           summary="commit forced substitutions into the rows"),
-    OpSpec("snapshot", "mutation", True, True, script_rank=6, wire_rank=7,
-           summary="push a rollback mark"),
-    OpSpec("rollback", "mutation", True, True, script_rank=7, wire_rank=8,
-           summary="pop + restore the latest mark"),
-    OpSpec("discard", "mutation", False, True, wire_rank=9,
-           summary="drop all outstanding marks"),
-    OpSpec("checkpoint", "admin", True, True, script_rank=8,
-           summary="absorb the WAL tail into the snapshot"),
-    OpSpec("rows", "read", False, True, wire_rank=0,
-           summary="the raw rows at the cut"),
-    OpSpec("result", "read", False, True, wire_rank=1,
-           summary="the maintained fixpoint at the cut"),
-    OpSpec("check", "read", True, True, script_rank=9, wire_rank=2,
-           summary="TEST-FDs against the maintained instance"),
-    OpSpec("has_nothing", "read", False, True, wire_rank=3,
-           summary="Theorem 4(b) weak-satisfiability verdict"),
-    OpSpec("explain", "read", True, True, script_rank=12, wire_rank=4,
-           summary="narrate the maintained chase"),
-    OpSpec("stats", "read", True, True, script_rank=10, wire_rank=5,
-           summary="op-outcome and durability counters"),
-    OpSpec("show", "read", True, False, script_rank=11,
-           summary="print the maintained instance"),
-    OpSpec("query", "read", False, True, scope="database",
-           wire_rank=6,
-           summary="relational-algebra query with certain/maybe answers; "
-           "plan-linted before any lease, "
-           "`explain: true` returns the plan instead"),
+    OpSpec("insert", "mutation", True, True, script_rank=0, wire_rank=0),
+    OpSpec("delete", "mutation", True, True, script_rank=1, wire_rank=1),
+    OpSpec("update", "mutation", True, True, script_rank=2, wire_rank=2),
+    OpSpec("replace", "mutation", True, True, script_rank=3, wire_rank=3),
+    OpSpec("fill", "mutation", True, True, script_rank=4, wire_rank=4),
+    OpSpec("reset", "mutation", False, True, wire_rank=5),
+    OpSpec("adopt", "mutation", True, True, script_rank=5, wire_rank=6),
+    OpSpec("snapshot", "mutation", True, True, script_rank=6, wire_rank=7),
+    OpSpec("rollback", "mutation", True, True, script_rank=7, wire_rank=8),
+    OpSpec("discard", "mutation", True, True, script_rank=8, wire_rank=9),
+    OpSpec("checkpoint", "admin", True, True, script_rank=9),
+    OpSpec("rows", "read", False, True, wire_rank=0),
+    OpSpec("result", "read", False, True, wire_rank=1),
+    OpSpec("check", "read", True, True, script_rank=10, wire_rank=2),
+    OpSpec("has_nothing", "read", False, True, wire_rank=3),
+    OpSpec("explain", "read", True, True, script_rank=13, wire_rank=4),
+    OpSpec("stats", "read", True, True, script_rank=11, wire_rank=5),
+    OpSpec("show", "read", True, False, script_rank=12),
+    OpSpec("query", "read", False, True, scope="database", wire_rank=6),
 )
 
 SPECS: Dict[str, OpSpec] = {spec.name: spec for spec in OPS}
@@ -126,14 +103,14 @@ MUTATION_VERBS: Tuple[str, ...] = _ordered(
     lambda n: SPECS[n].wire_rank,
 )
 
-#: wire verbs answered from a single relation's consistent-cut lease.
+#: wire verbs answered from a single relation's state at one cut.
 READ_VERBS: Tuple[str, ...] = _ordered(
     (s.name for s in OPS
      if s.wire and s.kind == "read" and s.scope == "relation"),
     lambda n: SPECS[n].wire_rank,
 )
 
-#: the database-scoped read verb (may lease several relations at once).
+#: the database-scoped read verb (may read several relations at once).
 QUERY_VERB: str = "query"
 
 #: verbs admissible inside a server ``batch`` bundle — exactly the

@@ -218,13 +218,9 @@ def _project_fd_tuple(
 ) -> Tuple[FD, ...]:
     if not fds:
         return ()
-    try:
-        from ..normalization.projection import project_fds
+    from ..normalization.projection import project_fds
 
-        projected = project_fds(fds, attrs, max_lhs=3)
-        return tuple(projected)
-    except Exception:  # pragma: no cover - key inference is best-effort
-        return ()
+    return tuple(project_fds(fds, attrs, max_lhs=3))
 
 
 def _facts_of(node: Node, children: Sequence[Facts], ctx: _Ctx) -> Facts:
@@ -572,12 +568,9 @@ def _node_label(node: Node, children: Sequence[Facts]) -> str:
 def _candidate_keys(facts: Facts) -> Tuple[Tuple[str, ...], ...]:
     if not facts.fds or len(facts.attrs) > 10 or len(facts.fds) > 16:
         return ()
-    try:
-        from ..armstrong.keys import candidate_keys
+    from ..armstrong.keys import candidate_keys
 
-        return tuple(candidate_keys(facts.attrs, facts.fds, limit=32))
-    except Exception:  # pragma: no cover - key inference is best-effort
-        return ()
+    return tuple(candidate_keys(facts.attrs, facts.fds, limit=32))
 
 
 # name kept: perfbench wraps it as query.optimize.plan, required by CI's smoke

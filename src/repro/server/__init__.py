@@ -7,10 +7,10 @@ Multiplexes many clients onto one writer task per relation:
   (:class:`~repro.db.log.GroupCommitter`); each client is acked only
   after its batch is durable, so N clients share one sync instead of
   paying one each;
-* **snapshot-isolated reads** — ``result``/``check``/``rows`` readers
-  run against a consistent cut (:class:`~repro.chase.session.ReadLease`)
-  and never block the writer: a cut the writer has outrun is re-chased
-  privately, off the event loop;
+* **snapshot-isolated reads** — every read verb answers from one read
+  view per relation and cut (:class:`~repro.server.writer.ReadView`)
+  and never blocks the writer: with writes queued, a lease's frozen
+  rows are chased privately, off the event loop;
 * **auto-checkpoints** — by WAL-tail size or wall clock, drained and
   serialized with the op stream.
 

@@ -5,10 +5,10 @@ One process, one event loop::
     clients ──▶ protocol (JSON lines) ──▶ ReproServer.handle
        mutations ─▶ RelationWriter queue ─▶ the relation's session
                         └─ op records ─▶ GroupCommitter ─▶ one append+fsync per burst
-       reads ─▶ ReadLease (consistent cut) ─▶ live answer, or a detached
-                chase in an executor thread when the writer has moved on
-       queries ─▶ each scanned relation's ReadView at its cut (fixpoint
-                + stats, built once per cut and shared) ─▶ Evaluator
+       reads, queries ─▶ a ReadView per relation at its cut: the writer's
+                shared one (fixpoint + stats, built once per cut), read on
+                the loop while the writer is idle; else a private one over
+                a lease, chased and read in an executor thread
 
 The server opens its database **exclusively** (the directory lock is
 held for the whole run): a served directory has exactly one mutator
@@ -22,8 +22,8 @@ half-applied batch (see ``tests/server/test_group_commit_crash.py``).
 Read contract: responses carry ``as_of`` — the journal seq of the
 consistent cut they were computed against, always an op boundary, so
 every read equals the state after some serial prefix of the acked op
-stream.  Readers never block the writer: a lease outlived by the writer
-re-chases its frozen rows in an executor thread, off the loop.
+stream.  Readers never block the writer: a read with mutations queued
+chases a lease's frozen rows in an executor thread, off the loop.
 
 In-process use (no sockets) is first-class: construct, ``await
 start()``, then ``await handle({...})`` — the concurrency and crash
@@ -34,18 +34,23 @@ from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence
+from typing import TypeVar, Union
 
-from ..api import TAG_CERTAIN, WIRE_VERSION
+from .. import testfd
+from ..api import TAG_CERTAIN, WIRE_VERSION, Answer, ResultSet
 from ..core.values import is_null
 from ..db.database import Database
 from ..db.log import SYNC_FSYNC
 from ..errors import ReproError
+from ..explain import explain_chase
 from ..query import parse_query, relation_names
 from ..query.evaluate import Evaluator
 from ..query.optimize import RelationStats
 from . import protocol
 from .writer import ReadView, RelationWriter
+
+_T = TypeVar("_T")
 
 
 def _ok(request_id: Any, **fields: Any) -> dict:
@@ -281,6 +286,38 @@ class ReproServer:
 
     # -- the read path -----------------------------------------------------
 
+    async def _at_cut(
+        self,
+        names: Sequence[str],
+        isolated: bool,
+        read: Callable[[Dict[str, ReadView], bool], _T],
+    ) -> _T:
+        """``read(views, live)`` over one :class:`ReadView` per relation in
+        ``names`` at its current cut: the read path's one live-or-detached
+        choice.
+
+        While every writer is idle and the request is not ``isolated``,
+        ``read`` runs here, on the loop, over the writers' shared views.
+        Otherwise (a live read would stall queued mutations) it runs in
+        an executor thread over private views of leases taken now, each
+        chasing its lease's frozen rows; the writers keep running.  The
+        caller encodes what ``read`` returns back on the loop: codec
+        registries belong to the loop.
+        """
+        writers = {name: self._writers[name] for name in names}
+        if not isolated and not any(w.pending() for w in writers.values()):
+            return read({name: w.view() for name, w in writers.items()}, True)
+        leases = {name: writer.lease() for name, writer in writers.items()}
+
+        def detached() -> _T:
+            views = {
+                name: ReadView(lease.instance(True))
+                for name, lease in leases.items()
+            }
+            return read(views, False)
+
+        return await asyncio.get_running_loop().run_in_executor(None, detached)
+
     async def _read(
         self, relation, writer: RelationWriter, verb, request: dict, request_id
     ) -> dict:
@@ -289,12 +326,14 @@ class ReproServer:
             merged = relation.stats()
             merged.update(writer.stats())
             return _ok(request_id, stats=merged)
-        lease, as_of = writer.lease()
+        # the journal seq now: a snapshot or discard record moves it
+        # without moving the session's cut, so no view caches it
+        as_of = relation.seq
         if verb == "rows":
-            # the raw rows are frozen in the lease itself: no chase at all
+            # the raw rows as they stand: no chase, no lease, no view
             rows = [
                 [relation.encode_value(value) for value in row.values]
-                for row in lease.rows
+                for row in relation.session.rows
             ]
             return _ok(
                 request_id,
@@ -305,107 +344,70 @@ class ReproServer:
                 as_of=as_of,
                 live=True,
             )
-        # answer from the live session only while it provably *is* the
-        # cut AND the writer is idle: a live answer runs on the loop, so
-        # computing it with mutations queued would stall the writer.
-        # ``"isolated": true`` forces the detached path regardless.
-        isolated = bool(request.get("isolated")) or writer.pending() > 0
-        if not isolated and lease.fresh:
-            return self._answer(relation, lease, verb, request, request_id, as_of, True)
-        # chase the frozen cut off the loop (the writer keeps running;
-        # Python time-slices the threads), then come back to encode —
-        # codec registries belong to the loop, the chase does not
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, lease.instance, True)
-        return self._answer(relation, lease, verb, request, request_id, as_of, False)
-
-    def _answer(
-        self, relation, lease, verb, request: dict, request_id, as_of: int, live: bool
-    ) -> dict:
-        """One read verb's response: the unified answer schema
-        (``v``/``tag``/``attrs``/``rows``/``meta`` — :mod:`repro.api`)
-        with the legacy top-level fields riding alongside, so pre-v1
-        clients keep working unchanged."""
-        detached = not live
-        if verb == "result":
-            answer = (
-                lease.result(detached=detached).at(as_of, live=live).answer()
-            )
-            payload = answer.to_payload(encode=relation.encode_value)
-            return _ok(
-                request_id,
-                has_nothing=answer.meta["has_nothing"],  # legacy field
-                **payload,
-            )
+        # check's arguments, read here on the loop
+        fds = request.get("fds")
+        if isinstance(fds, str):
+            fds = [clause for clause in fds.split(";") if clause.strip()]
+        elif fds is None:
+            fds = list(relation.session.fds)
+        convention = request.get("convention", "weak")
+        name = relation.name
+        answer = await self._at_cut(
+            [name],
+            bool(request.get("isolated")),
+            lambda views, live: self._answer(
+                views[name], verb, fds, convention, as_of, live
+            ),
+        )
+        payload = answer.to_payload(encode=relation.encode_value)
         if verb == "check":
-            fds = request.get("fds")
-            if isinstance(fds, str):
-                fds = [clause for clause in fds.split(";") if clause.strip()]
-            convention = request.get("convention", "weak")
-            outcome = lease.check(fds=fds, convention=convention, detached=detached)
-            answer = outcome.at(as_of, live=live).answer()
-            fields: Dict[str, Any] = answer.to_payload()
-            fields["satisfied"] = bool(outcome)  # legacy fields
-            fields["convention"] = convention
-            witness = outcome.witness_payload()
-            if witness is not None:
-                fields["witness"] = witness
-            return _ok(request_id, **fields)
+            # the one legacy top-level field left (meta carries it too):
+            # the benchmark's churn checker reads it
+            payload["satisfied"] = answer.meta["satisfied"]
+            if "witness" in answer.meta:
+                payload["witness"] = answer.meta["witness"]
+        return _ok(request_id, **payload)
+
+    @staticmethod
+    def _answer(
+        view: ReadView, verb: str, fds, convention, as_of: int, live: bool
+    ) -> Answer:
+        """One read verb's answer over ``view``, in the unified answer
+        schema (:mod:`repro.api`)."""
+        if verb == "result":
+            return view.result.at(as_of, live=live).answer()
+        if verb == "check":
+            # looked up per call, so tracing that wraps check_fds sees it
+            outcome = testfd.check_fds(view.relation, fds, convention=convention)
+            return testfd.CheckAnswer.wrap(outcome, convention, as_of, live).answer()
         if verb == "has_nothing":
-            has_nothing = lease.instance(detached).has_nothing
-            return _ok(
-                request_id,
-                v=WIRE_VERSION,
-                tag=TAG_CERTAIN,
-                attrs=[],
-                rows=[],
-                meta={"has_nothing": has_nothing},
-                has_nothing=has_nothing,  # legacy field
-                as_of=as_of,
-                live=live,
-            )
-        if verb == "explain":
-            narration = lease.explain(detached=detached)
-            return _ok(
-                request_id,
-                v=WIRE_VERSION,
-                tag=TAG_CERTAIN,
-                attrs=[],
-                rows=[],
-                meta={"explain": narration},
-                explain=narration,  # legacy field
-                as_of=as_of,
-                live=live,
-            )
-        raise ReproError(f"unknown read verb {verb!r}")  # pragma: no cover
+            meta: Dict[str, Any] = {"has_nothing": view.has_nothing}
+        elif verb == "explain":
+            meta = {"explain": explain_chase(view.result)}
+        else:  # pragma: no cover
+            raise ReproError(f"unknown read verb {verb!r}")
+        return Answer(TAG_CERTAIN, (), (), as_of=as_of, live=live, meta=meta)
 
     # -- the query verb ----------------------------------------------------
 
     async def _query(self, request: dict, request_id: Any) -> dict:
         """Evaluate a relational-algebra query at one consistent cut.
 
-        Every relation the query scans is leased *before* anything is
-        evaluated, so the answer reflects one serial prefix per relation
-        (``as_of`` maps each scanned relation to its cut seq; a scalar
-        when only one relation is scanned).  The read contract matches
-        the single-relation path: a live answer only while every writer
-        is provably idle at its cut; otherwise the frozen rows are
-        re-chased and evaluated in an executor thread — however long the
-        grounding enumeration takes, the writers never wait on it.
+        Every relation the query scans is read at its cut, all in one
+        turn of the loop, before anything is evaluated, so the answer
+        reflects one serial prefix per relation (``as_of`` maps each
+        scanned relation to its cut seq; a scalar when only one relation
+        is scanned).  The read contract is the single-relation path's
+        (:meth:`_at_cut`): a live answer from the shared views while
+        every writer is idle; otherwise an evaluation over private views
+        in an executor thread — however long the grounding enumeration
+        takes, the writers never wait on it.
 
         The plan linter runs before any lease is taken: refusal-grade
         findings (least-mode grounding blow-up, statically unsatisfiable
         tree) reject the request outright, warnings ride along in the
         success payload, and ``explain: true`` returns the plan text —
         lease-free — instead of evaluating.
-
-        Read state is built once per cut: each relation's writer holds
-        a :class:`~repro.server.writer.ReadView` — the fixpoint, its
-        stats and the raw rows' stats — that the first read at a cut
-        fills and every later read at that cut shares.  Any mutation
-        moves the cut, and the next read starts a new view.  Detached
-        and ``isolated`` reads build a private view instead, off the
-        loop, and never read or fill the shared one.
         """
         from ..analysis import lint_query_request  # local: keeps startup light
 
@@ -418,8 +420,8 @@ class ReproServer:
         # chase); it runs *before any lease is taken*, so a doomed read
         # (least-mode grounding blow-up, statically unsatisfiable tree)
         # is refused without ever holding up group commit
-        requested_isolation = bool(request.get("isolated"))
-        raw_stats = _RawStats(self._writers, shared=not requested_isolation)
+        isolated = bool(request.get("isolated"))
+        raw_stats = _RawStats(self._writers, shared=not isolated)
         fds = {
             name: tuple(db.relation(name).session.fds)
             for name in db.names()
@@ -452,32 +454,10 @@ class ReproServer:
             return _ok(request_id, **payload)
         names = relation_names(node)
         known = [name for name in names if name in db]
-        leases = {}
-        cuts: Dict[str, int] = {}
-        for name in known:
-            lease, seq = self._writers[name].lease()
-            leases[name] = lease
-            cuts[name] = seq
-        as_of: Any = (
-            cuts[known[0]] if len(names) == 1 and known else dict(cuts)
-        )
-        isolated = requested_isolation or any(
-            self._writers[name].pending() > 0 for name in known
-        )
-        live = (
-            not isolated
-            and all(lease.fresh for lease in leases.values())
-        )
+        cuts = {name: db.relation(name).seq for name in known}
+        as_of: Any = cuts[known[0]] if len(names) == 1 and known else cuts
 
-        def materialize_and_evaluate():
-            if live:
-                # every lease is fresh: the shared view is at its cut
-                views = {name: self._writers[name].view() for name in leases}
-            else:
-                views = {
-                    name: ReadView(lease.instance(True))
-                    for name, lease in leases.items()
-                }
+        def evaluate(views: Dict[str, ReadView], live: bool) -> ResultSet:
             evaluator = Evaluator(
                 {name: view.relation for name, view in views.items()},
                 fds=fds,
@@ -485,11 +465,7 @@ class ReproServer:
             )
             return evaluator.run(node, mode=mode, as_of=as_of, live=live)
 
-        if live:
-            result = materialize_and_evaluate()
-        else:
-            loop = asyncio.get_running_loop()
-            result = await loop.run_in_executor(None, materialize_and_evaluate)
+        result = await self._at_cut(known, isolated, evaluate)
         # back on the loop: enrich provenance with durable null ids and
         # encode each null with the codec of the relation it came from;
         # codec ids are per relation, so a query over several relations

@@ -22,10 +22,10 @@ mutations      ``insert`` ``delete`` ``update`` ``replace`` ``fill``
                ``discard`` — routed through the relation's writer;
                acked (with the op's ``seq``) once durable
 reads          ``rows`` ``result`` ``check`` ``has_nothing``
-               ``explain`` ``stats`` — answered from a consistent-cut
-               read lease; the response carries ``as_of`` (the seq the
-               cut covers) and ``live`` (False when the answer came
-               from a detached snapshot chase)
+               ``explain`` ``stats`` — answered at the relation's
+               current cut, the fixpoint verbs from its read view; the
+               response carries ``as_of`` (the seq the cut covers) and
+               ``live`` (False when a private chase of a lease answered)
 admin          ``create`` ``relations`` ``checkpoint`` ``ping``
 =============  =======================================================
 
@@ -316,9 +316,9 @@ class Client:
     async def read(self, rel: str, verb: str, **fields: Any) -> Answer:
         """A read verb, parsed into a unified :class:`repro.api.Answer`.
 
-        The raw response dict (legacy fields included) stays available
-        via :meth:`call`; this is the schema-checked path — it raises on
-        a wire-version mismatch instead of silently misreading.
+        The raw response dict stays available via :meth:`call`; this is
+        the schema-checked path — it raises on a wire-version mismatch
+        instead of silently misreading.
         """
         response = await self.call(verb, rel=rel, **fields)
         return Answer.from_payload(response, decode=self.decode_token)

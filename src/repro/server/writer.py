@@ -30,7 +30,7 @@ import asyncio
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..chase.session import ChaseSession, ReadLease
+from ..chase.session import ChaseSession, ReadLease, ResultAnswer
 from ..core.relation import Relation
 from ..db.database import ManagedRelation
 from ..db.log import GroupCommitter
@@ -72,13 +72,21 @@ class _Batch:
 class ReadView:
     """One relation's read state at one cut, each part built on first use.
 
-    * :attr:`relation` — the maintained fixpoint
-      (:meth:`~repro.chase.session.ChaseSession.result`);
-    * :attr:`stats` — its :class:`~repro.query.optimize.RelationStats`:
-      the column domains and null cells the evaluator grounds over, and
-      the counts and pools the optimizer plans with;
+    * :attr:`result` — the maintained fixpoint, Theorem 4's unique
+      minimally incomplete instance
+      (:meth:`~repro.chase.session.ChaseSession.result`), which each
+      read stamps with its own ``as_of`` before rendering it: the
+      ``result`` verb shows it, ``explain`` narrates its firings;
+    * :attr:`relation` — its relation, which ``check`` runs TEST-FDs on
+      (Theorem 3) and a query grounds over;
+    * :attr:`stats` — the fixpoint's
+      :class:`~repro.query.optimize.RelationStats`: the column domains
+      and null cells the evaluator grounds over, and the counts and
+      pools the optimizer plans with;
     * :attr:`raw_stats` — the raw rows' stats, which the plan linter
-      reads before any lease is taken.
+      reads before any lease is taken;
+    * :attr:`has_nothing` — the session's Theorem 4(b) verdict, read in
+      O(1) without building the fixpoint.
 
     A view is bound to its session's
     :attr:`~repro.chase.session.ChaseSession.cut`.  The writer's shared
@@ -89,20 +97,28 @@ class ReadView:
     no other read sees.
     """
 
-    __slots__ = ("cut", "_session", "_relation", "_stats", "_raw_stats")
+    __slots__ = ("cut", "_session", "_result", "_stats", "_raw_stats")
 
     def __init__(self, session: ChaseSession) -> None:
         self._session = session
         self.cut = session.cut
-        self._relation: Optional[Relation] = None
+        self._result: Optional[ResultAnswer] = None
         self._stats: Optional[optimize.RelationStats] = None
         self._raw_stats: Optional[optimize.RelationStats] = None
 
     @property
+    def result(self) -> ResultAnswer:
+        if self._result is None:
+            self._result = self._session.result()
+        return self._result
+
+    @property
     def relation(self) -> Relation:
-        if self._relation is None:
-            self._relation = self._session.result().relation
-        return self._relation
+        return self.result.relation
+
+    @property
+    def has_nothing(self) -> bool:
+        return self._session.has_nothing
 
     @property
     def stats(self) -> optimize.RelationStats:
@@ -192,14 +208,14 @@ class RelationWriter:
         await self._queue.put((_Checkpoint, future))
         return await future
 
-    def lease(self) -> Tuple[ReadLease, int]:
-        """A consistent-cut read lease plus the seq it covers.
+    def lease(self) -> ReadLease:
+        """A consistent-cut read lease on the relation's session.
 
         Callers on the event loop only ever observe op boundaries (the
         writer's apply loop never awaits mid-op), so the cut is always a
         serial prefix of the op stream.
         """
-        return self.relation.session.lease(), self.relation.seq
+        return self.relation.session.lease()
 
     def view(self) -> ReadView:
         """The shared :class:`ReadView` at the session's current cut: the

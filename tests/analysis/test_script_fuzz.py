@@ -33,7 +33,7 @@ SEED_ROWS = [("a1", "b1", "c1"), ("a2", null(), "c2")]
 #: the script vocabulary, weighted over a few names it does not have
 _OPS = st.sampled_from(
     list(SCRIPT_OPS) * 3
-    + ["reset", "discard", "rows", "query", "INSERT", "", "#"]
+    + ["reset", "rows", "query", "INSERT", "", "#"]
 )
 _ARGS = st.sampled_from(
     ["0", "1", "2", "-1", "99", "1.5", "0x1", "", " ", "\t"]

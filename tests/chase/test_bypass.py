@@ -18,7 +18,7 @@ against, and the session's verification path.
 import pytest
 from hypothesis import given, settings
 
-from repro.chase.engine import ENGINE_SWEEP, ENGINE_VECTOR, chase
+from repro.chase.engine import ENGINE_AUTO, ENGINE_SWEEP, chase
 from repro.chase.session import ChaseSession
 from repro.chase.vector import VectorChaseState
 from repro.core.fd import as_fd
@@ -167,9 +167,9 @@ class TestAllColumnsState:
             all_columns_chase(instance, fds), sweep_chase(instance, fds)
         )
 
-    def test_engine_vector_selects_the_vector_path(self):
+    def test_engine_auto_selects_the_vector_path(self):
         r = rel("A B C", [("a", "-", "c"), ("a", "b", "-")])
-        result = chase(r, ["A -> B"], engine=ENGINE_VECTOR)
+        result = chase(r, ["A -> B"], engine=ENGINE_AUTO)
         assert_field_identical(result, sweep_chase(r, ["A -> B"]))
 
 

@@ -413,6 +413,13 @@ class TestViews:
 
 _constants = ["v0", "v1", "v2"]
 _cell = st.sampled_from(_constants + ["fresh", "s0", "s1", "nothing"])
+#: ground prefix cells: mostly constants no later op writes, so old rows
+#: stay merge-free (retirable); ``v0`` lets later rows fire against them
+_ground = st.sampled_from(["w0", "w1", "w2", "w3", "w4", "w5", "v0"])
+#: half the indices aim at the two oldest rows
+_index = st.one_of(
+    st.sampled_from([0, 1]), st.integers(min_value=0, max_value=11)
+)
 _fd_lists = st.lists(
     st.sampled_from(FDS), min_size=1, max_size=3, unique=True
 )
@@ -420,15 +427,23 @@ _fd_lists = st.lists(
 
 @st.composite
 def op_sequences(draw):
-    """A program over the session's full vocabulary.
+    """A program over the session's full vocabulary, after a ground
+    prefix.
 
-    Cells name constants, fresh nulls, one of two *shared* null objects
-    (so fills and NECs cross rows), or NOTHING.  Indices and snapshot
-    choices are drawn as raw integers and resolved modulo the live state
-    when the program runs.
+    The prefix inserts two to eight ground rows, so the ops after it meet
+    old rows deep in the trail; with half the indices aimed at rows 0
+    and 1, deletes and replaces reach in-place retirement (a merge-free
+    victim in the lower half of the trail) and a replace's slot
+    rotation.  Cells name constants, fresh nulls, one of two *shared*
+    null objects (so fills and NECs cross rows), or NOTHING.  Indices
+    and snapshot choices are drawn as raw integers and resolved modulo
+    the live state when the program runs.
     """
+    prefix = draw(
+        st.lists(st.lists(_ground, min_size=3, max_size=3), min_size=2, max_size=8)
+    )
+    ops = [("insert", cells, 0, "A", _constants[0]) for cells in prefix]
     n_ops = draw(st.integers(min_value=1, max_value=14))
-    ops = []
     for _ in range(n_ops):
         kind = draw(
             st.sampled_from(
@@ -440,7 +455,7 @@ def op_sequences(draw):
             (
                 kind,
                 [draw(_cell) for _ in range(3)],
-                draw(st.integers(min_value=0, max_value=11)),
+                draw(_index),
                 draw(st.sampled_from("ABC")),
                 draw(st.sampled_from(_constants)),
             )

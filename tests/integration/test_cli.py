@@ -145,7 +145,7 @@ class TestDesignCommands:
 
 class TestEngineAndMethodFlags:
     def test_chase_engine_choices(self, customers_csv, capsys):
-        for engine in ("auto", "sweep", "vector"):
+        for engine in ("auto", "sweep"):
             code = main(
                 ["chase", "--data", customers_csv, "--fds", "zip -> city",
                  "--engine", engine]
@@ -154,7 +154,7 @@ class TestEngineAndMethodFlags:
             assert "New York" in capsys.readouterr().out
 
     def test_chase_engine_rejects_unknown(self, customers_csv, capsys):
-        for engine in ("warp", "indexed", "congruence"):
+        for engine in ("warp", "indexed", "congruence", "vector"):
             with pytest.raises(SystemExit):
                 main(["chase", "--data", customers_csv, "--fds", "zip -> city",
                       "--engine", engine])
@@ -396,6 +396,33 @@ class TestDbCommands:
         # the failed op was never journalled: recovery sees one insert
         code = main(["db", "recover", root, "--sync", "flush"])
         assert "1 replayed op(s)" in capsys.readouterr().out
+
+    def test_db_script_discard_releases_a_snapshot(self, tmp_path, capsys):
+        """A script's ``discard`` drops the snapshot it left outstanding
+        and keeps the rows written since, so a checkpoint is admitted."""
+        root = self._init(tmp_path, capsys)
+        script = tmp_path / "ops.txt"
+        script.write_text("snapshot\ninsert a, x, d\ndiscard\n")
+        code = main(
+            ["db", "ingest", root, "--name", "people", "--script", str(script),
+             "--sync", "flush"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[3] discard: 1 snapshot(s) dropped" in out
+        code = main(["db", "checkpoint", root, "--sync", "flush"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "checkpointed 'people': 3 op(s)" in out
+        code = main(["db", "stats", root, "--sync", "flush"])
+        assert code == 0
+        assert "rows=1" in capsys.readouterr().out
+        code = main(
+            ["lint", "--attrs", "name zip city", "--fds", self.FDS, "--db",
+             "--script", str(script)]
+        )
+        assert code == 0
+        assert "clean: no diagnostics" in capsys.readouterr().out
 
     def test_db_unknown_relation(self, tmp_path, capsys):
         root = self._init(tmp_path, capsys)

@@ -121,7 +121,7 @@ async def run_schedule(tmp_path, seed: int, n_clients: int = 4, n_ops: int = 22)
                     (
                         response["as_of"],
                         normalize(response["rows"]),
-                        response["has_nothing"],
+                        response["meta"]["has_nothing"],
                     )
                 )
                 continue
@@ -136,7 +136,7 @@ async def run_schedule(tmp_path, seed: int, n_clients: int = 4, n_ops: int = 22)
     await asyncio.gather(*(client(c) for c in range(n_clients)))
     final = await server.handle({"id": "fin", "do": "result", "rel": "r"})
     assert final["ok"]
-    reads.append((final["as_of"], normalize(final["rows"]), final["has_nothing"]))
+    reads.append((final["as_of"], normalize(final["rows"]), final["meta"]["has_nothing"]))
     await server.stop()
     return acked, reads
 
