@@ -27,8 +27,10 @@ Two series:
   settled prefix (ground rows, unique keys: no NS-rule ever fired on
   them) under a merge-heavy recent tail, then a stream of deletes at the
   *oldest* end.  The rewind/replay discipline must either unwind the
-  whole trail or level-rebuild per delete (O(instance) each); in-place
-  retirement (`fast_retire=True`, the default) excises each victim from
+  whole trail or level-rebuild per delete (O(instance) each); since an
+  old victim's rewind never pays, its side is timed as one level
+  rebuild per delete, `session.reset(session.rows[1:])`.  In-place
+  retirement (what `session.delete(0)` takes) excises each victim from
   the occurrence index and bucket member lists in O(its own cells).
   `session.stats()` is asserted, not inferred: every delete must be
   served by the `retire_fast` counter with zero rebuilds.
@@ -279,23 +281,29 @@ def retirement_workload(n_rows: int, seed: int = 71):
     return schema, rows
 
 
-def _build_session(schema, rows, fast_retire: bool) -> ChaseSession:
-    session = ChaseSession(schema, FDS, fast_retire=fast_retire)
+def _build_session(schema, rows) -> ChaseSession:
+    session = ChaseSession(schema, FDS)
     for row in rows:
         session.insert(row)
     return session
 
 
-def time_old_row_deletes(schema, rows, deletes: int, fast_retire: bool):
-    """Best-of-repeats wall time of the delete stream alone (build
-    excluded), plus the last run's session for result/stats checks."""
+def _rebuild_delete(session: ChaseSession) -> None:
+    """Delete row 0 by a level rebuild over the survivors."""
+    session.reset(session.rows[1:])
+
+
+def time_old_row_deletes(schema, rows, deletes: int, delete_oldest):
+    """Best-of-repeats wall time of ``deletes`` calls of
+    ``delete_oldest(session)`` alone (build excluded), plus the last
+    run's session for result/stats checks."""
     best = None
     session = None
     for _ in range(bench_repeat(3)):
-        session = _build_session(schema, rows, fast_retire)
+        session = _build_session(schema, rows)
         start = time.perf_counter()
         for _ in range(deletes):
-            session.delete(0)
+            delete_oldest(session)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, session
@@ -318,10 +326,10 @@ def run_retirement_series(sizes):
         schema, rows = retirement_workload(n)
         deletes = n // 2
         slow_time, slow_session = time_old_row_deletes(
-            schema, rows, deletes, fast_retire=False
+            schema, rows, deletes, _rebuild_delete
         )
         fast_time, fast_session = time_old_row_deletes(
-            schema, rows, deletes, fast_retire=True
+            schema, rows, deletes, lambda session: session.delete(0)
         )
         stats = fast_session.stats()
         if stats["retire_fast"] != deletes or stats["level_rebuild"]:
@@ -432,7 +440,7 @@ def bench_retirement_deletes_200(benchmark) -> None:
     schema, rows = retirement_workload(200)
 
     def run() -> None:
-        session = _build_session(schema, rows, fast_retire=True)
+        session = _build_session(schema, rows)
         for _ in range(100):
             session.delete(0)
 

@@ -25,6 +25,10 @@ Two series over the serving layer (`repro.server`):
   writer's largest ack-to-ack gap are reported by reader count; the gap
   must stay bounded (no read ever holds the writer), and every read
   must equal a serial prefix (row count == its ``as_of``).
+
+Every S1a point takes the best of :data:`REPEAT` runs in every mode: a
+single quick-mode sample was noisy enough to fall below ``compare.py``'s
+1.0x quick floor on the direct-baseline speedup.
 """
 
 import asyncio
@@ -33,7 +37,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.bench.report import Table, bench_repeat, quick_mode
+from repro.bench.report import Table, quick_mode
 from repro.chase import canonical_form
 from repro.core.values import null
 from repro.db import Database
@@ -134,9 +138,13 @@ def run_served(n_ops: int, n_clients: int, max_batch: int):
         shutil.rmtree(root, ignore_errors=True)
 
 
-def best_of(fn, repeat: int = 3):
+#: best-of repetitions per S1a point, quick mode included
+REPEAT = 3
+
+
+def best_of(fn, repeat: int = REPEAT):
     best = None
-    for _ in range(bench_repeat(repeat)):
+    for _ in range(repeat):
         outcome = fn()
         if best is None or outcome[0] < best[0]:
             best = outcome

@@ -26,7 +26,6 @@ from repro.analysis import has_errors, lint_script, render_report
 from repro.chase.session import ChaseSession
 from repro.cli import run_script
 from repro.core.schema import RelationSchema
-from repro.opschema import SessionTarget
 
 SCHEMA = RelationSchema("emp", "name dept mgr")
 FDS = ["dept -> mgr"]
@@ -67,7 +66,7 @@ print(f"\nclean script: {len(clean_diagnostics)} finding(s) "
       f"(errors: {has_errors(clean_diagnostics)})")
 
 session = ChaseSession(SCHEMA, FDS, sanitize=True)  # sanitizer armed
-run_script(SessionTarget(session), CLEAN)
+run_script(session, CLEAN)
 print("lint-clean script executed without raising: True")
 
 # -- check on a poisoned state is an error ---------------------------------

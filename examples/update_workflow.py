@@ -92,11 +92,11 @@ def session_tour() -> None:
     print("storage's on-call grounded live:",
           session.result().relation[0]["oncall"])
 
-    snap = session.snapshot()
+    session.snapshot()
     session.insert(("T-7", "storage", "low", "ada"))  # contradicts T-7
     print("after conflicting report, weakly satisfiable?",
           not session.has_nothing)
-    session.rollback(snap)
+    session.rollback()
     print("after rollback,             weakly satisfiable?",
           not session.has_nothing)
 

@@ -22,9 +22,10 @@ refuses a value the journal cannot encode or a constant outside its
 attribute's declared domain.  A wrong op reports its first finding, in
 the session's order (index bounds, then attributes and arity, then
 cells and domain), and is skipped, as the writer skips it.  When the
-loop ends the session is rolled back to where it started and its hook
-restored; its op counters, and its cut when the undo was a pure trail
-pop, read as before (:meth:`~repro.chase.session.ChaseSession.dry_run`).
+loop ends the session is rolled back to where it started, its snapshot
+stack put back and its hook restored; its op counters, and its cut when
+the undo was a pure trail pop, read as before
+(:meth:`~repro.chase.session.ChaseSession.dry_run`).
 
 Admissibility is the session's own verdict: an op after which
 :attr:`~repro.chase.session.ChaseSession.has_nothing` turns true is
@@ -67,13 +68,7 @@ from ..core.schema import RelationSchema
 from ..core.values import Null, is_constant
 from ..db.log import decode_request, encode_op
 from ..errors import OpError, ReproError
-from ..opschema import (
-    MUTATION_VERBS,
-    SessionTarget,
-    apply_op,
-    parse_op,
-    require_durable,
-)
+from ..opschema import MUTATION_VERBS, apply_op, parse_op, require_durable
 from .diagnostics import Diagnostic, classify_cause
 
 #: one op for the lint loop: its position, its text as reported, and a
@@ -160,12 +155,12 @@ def _witness(
 
 
 def _lint(
-    target: SessionTarget, ops: Iterable[_Op], durable: bool
+    session: ChaseSession, ops: Iterable[_Op], durable: bool
 ) -> List[Diagnostic]:
     """The one loop: each op is read into a record and dry-run on
-    ``target``, whose session is then rolled back to where it started
+    ``session``, which is then rolled back to where it started, its
+    snapshot stack included
     (:meth:`~repro.chase.session.ChaseSession.dry_run`)."""
-    session = target.session
     schema = session.schema
     diagnostics: List[Diagnostic] = []
     hook = session.on_op
@@ -177,15 +172,15 @@ def _lint(
                 try:
                     record = read()
                     if record[0] in MUTATION_VERBS:
-                        apply_op(target, record)
+                        apply_op(session, record)
                     elif record[0] == "check":
-                        target.check(convention=record[1])
+                        session.check(convention=record[1])
                     elif record[0] == "checkpoint":
                         require_durable(durable)
-                        if target.snapshots:
+                        if session.snapshots:
                             raise OpError(
                                 "E_CHECKPOINT_HELD",
-                                f"checkpoint with {len(target.snapshots)} "
+                                f"checkpoint with {len(session.snapshots)} "
                                 "outstanding snapshot(s); roll back (or discard) "
                                 "first",
                             )
@@ -239,8 +234,7 @@ def lint_script(
         text = raw_line.split("#", 1)[0].strip()
         if text:
             ops.append((lineno, text, partial(parse_op, text)))
-    target = SessionTarget(ChaseSession(schema, fds, rows or ()))
-    return _lint(target, ops, durable)
+    return _lint(ChaseSession(schema, fds, rows or ()), ops, durable)
 
 
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
@@ -267,18 +261,18 @@ def lint_requests(
     schema: RelationSchema,
     fds: Iterable[FDInput],
     requests: Sequence[Any],
-    target: Optional[SessionTarget] = None,
+    target: Optional[ChaseSession] = None,
     known_null: Optional[Callable[[str], bool]] = None,
     decode: Optional[Callable[[Any], Any]] = None,
 ) -> List[Diagnostic]:
     """Dry-run a server mutation batch; return every finding.
 
     Indexes are 0-based request positions (the ``line`` field of each
-    diagnostic).  ``target`` is the state the batch will meet, handed
-    back as it was found: the server passes its writer's live session
-    with a copy of the relation's snapshot stack
-    (:func:`repro.server.protocol.lint_batch`).  Without one the batch
-    runs on an empty session over ``schema`` and ``fds``.
+    diagnostic).  ``target`` is the session the batch will meet, handed
+    back as it was found, its snapshot stack included: the server passes
+    its writer's live session (:func:`repro.server.protocol.lint_batch`).
+    Without one the batch runs on an empty session over ``schema`` and
+    ``fds``.
     ``known_null`` is the relation's codec-scope membership test (the
     server's decoding is lenient — an unknown id silently materializes a
     fresh null — so an unknown id is flagged here), and ``decode`` its
@@ -308,7 +302,7 @@ def lint_requests(
         for index, request in enumerate(requests)
     ]
     if target is None:
-        target = SessionTarget(ChaseSession(schema, fds))
+        target = ChaseSession(schema, fds)
     return _lint(target, ops, durable=True)
 
 

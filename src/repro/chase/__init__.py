@@ -13,7 +13,7 @@ One engine per role:
 """
 
 from .core import SignatureChaseCore
-from .session import ChaseSession, ReadLease, ResultAnswer, SessionSnapshot
+from .session import ChaseSession, ReadLease, ResultAnswer
 from .vector import VectorChaseState
 from .engine import (
     ENGINE_AUTO,
@@ -52,7 +52,6 @@ __all__ = [
     "STRATEGY_ROUND_ROBIN",
     "ReadLease",
     "ResultAnswer",
-    "SessionSnapshot",
     "SignatureChaseCore",
     "VectorChaseState",
     "XSubstitution",

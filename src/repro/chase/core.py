@@ -30,10 +30,10 @@ the paper's Downey-Sethi-Tarjan footnote:
    (the use-list inverse a deletion needs: "who shares the victim's
    bucket").  A row whose signature lands on an occupied slot **fires**
    the NS-rule against the anchor.
-   When a union absorbs a class (delivered through the union-find's
-   ``on_union`` hook, so every merge is caught, including
-   *nothing*-poisoning ones), only the rows owning an absorbed cell are
-   dirtied — pushed as ``(fd, row)`` pairs onto a worklist for re-signing.
+   When a union absorbs a class (:meth:`_moved`, which every merge calls
+   right after the union, *nothing*-poisoning ones included), only the
+   rows owning an absorbed cell are dirtied — pushed as ``(fd, row)``
+   pairs onto a worklist for re-signing.
    Rows whose signatures mention the absorbed root necessarily own such a
    cell, so anchor-table invalidation is complete.  Total re-signing work
    is proportional to cells-moved × FDs-per-column, with weighted union
@@ -109,11 +109,10 @@ class SignatureChaseCore(ChaseState):
         self._members: Dict[Tuple[int, Signature], Dict[int, None]] = {}
         #: rows whose signature may have changed, as (fd index, row)
         self._work: Deque[Tuple[int, int]] = deque()
-        self.uf.on_union = self._on_union
 
     # -- index maintenance ----------------------------------------------------
 
-    def _on_union(self, survivor: int, absorbed: int) -> None:
+    def _moved(self, survivor: int, absorbed: int) -> None:
         """Move the absorbed class's cells; dirty only their rows."""
         moved = self._occ.pop(absorbed, None)
         if not moved:
@@ -178,5 +177,5 @@ class SignatureChaseCore(ChaseState):
             trail.append(("ancnew", (k, sig)))
         elif anchor != row:
             # a signature collision is an NS-rule application site; any
-            # merge it causes re-enters the worklist through _on_union
+            # merge it causes re-enters the worklist through _moved
             self._apply_pair(self.fds[k], anchor, row)

@@ -231,6 +231,7 @@ class ChaseState:
             # union first, then restores both original tags
             self._trail.append(("tags", a, tag_a, b, tag_b))
         root = self.uf.union(a, b)
+        self._moved(root, b if root == a else a)
         tag = self.tags[root] = self._combine(tag_a, tag_b)
         if (
             tag[0] == _TAG_NOTHING
@@ -239,6 +240,10 @@ class ChaseState:
         ):
             return self._merge(root, self._nothing())
         return root
+
+    def _moved(self, survivor: int, absorbed: int) -> None:
+        """Move what a subclass keeps per class after ``absorbed`` joined
+        ``survivor``; the sweep state keeps nothing."""
 
     @staticmethod
     def _combine(tag_a: Tuple[str, Any], tag_b: Tuple[str, Any]) -> Tuple[str, Any]:

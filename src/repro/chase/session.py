@@ -34,15 +34,16 @@ full update vocabulary.
   one union plus whatever it cascades); nulls spanning columns rewind to
   their first occurrence so the re-encoding matches a from-scratch chase
   exactly.
-* :meth:`snapshot` / :meth:`rollback` — an O(1)-to-take checkpoint.
-  Rolling back pops the trail down to the checkpoint's mark (backtrackable
-  union-find: no path compression while trailing, weighted union keeps
-  finds logarithmic), which is what lets a guard *try* a modification and
-  un-happen it when the result is inadmissible — no per-attempt state
-  copy, no re-chase.  A checkpoint that a later rewind invalidated is
-  honored by rebuilding from its recorded raw rows.  The trail grows with
-  total work done; :meth:`compact` sheds the history when rewindability
-  to old states stops being worth the memory.
+* :meth:`snapshot` / :meth:`rollback` / :meth:`discard_snapshots` — the
+  session's one snapshot stack (:attr:`snapshots`), O(1) to push.
+  Rolling back pops the latest mark and the trail down to it
+  (backtrackable union-find: no path compression while trailing,
+  weighted union keeps finds logarithmic), which is what lets a guard
+  *try* a modification and un-happen it when the result is inadmissible
+  — no per-attempt state copy, no re-chase.  A mark that a later rewind
+  invalidated is honored by rebuilding from its recorded raw rows.  The
+  trail grows with total work done; :meth:`compact` sheds the history
+  when rewindability to old states stops being worth the memory.
 * :meth:`check` — dispatches the TEST-FDs family against the maintained
   instance.  Under the weak convention Theorem 3's precondition (minimal
   incompleteness) holds *by construction*: the session state is always a
@@ -51,12 +52,14 @@ full update vocabulary.
   views: the minimally incomplete instance, the weak-satisfiability
   verdict (live, no materialization), and the narrated chase.
 * :attr:`on_op` — the **op-record hook** the durable layer
-  (:mod:`repro.db`) arms: every top-level mutator emits one replay record
-  (``("insert", values)``, ``("delete", index)``, ...) *after* its
-  argument validation but *before* any state changes, which is exactly
-  the write-ahead discipline a journal needs.  Internal re-application —
-  suffix replays, level rebuilds, rollback restoration — never emits
-  (those inserts are consequences of an op already on record, not ops).
+  (:mod:`repro.db`) arms: every top-level mutator, the snapshot stack's
+  three included, emits one replay record (``("insert", values)``,
+  ``("delete", index)``, ..., ``("snapshot",)``, ``("rollback",)``,
+  ``("discard",)``) *after* its argument validation but *before* any
+  state changes, which is exactly the write-ahead discipline a journal
+  needs.  Internal re-application — suffix replays, level rebuilds,
+  rollback restoration, a :meth:`dry_run`'s undo — never emits (those
+  inserts are consequences of an op already on record, not ops).
 
 The invariant pinned by ``tests/chase/test_session.py`` after **every**
 operation: ``session.result()`` is field-identical (rows, NEC classes,
@@ -89,7 +92,7 @@ from ..core.relation import Relation
 from ..core.schema import RelationSchema
 from ..core.tuples import Row
 from ..core.values import NOTHING, Null, is_null
-from ..errors import ReproError, SchemaError
+from ..errors import OpError, ReproError, SchemaError
 from .core import SignatureChaseCore
 from .engine import _TAG_CONST, _TAG_NOTHING, Application, ChaseResult, chase
 
@@ -153,7 +156,8 @@ STRATEGY_SESSION = "session"
 
 
 def _audited(method):
-    """Run the sanitizer sweep after a successful public mutation.
+    """Run the sanitizer sweep after a successful public mutation (and
+    after each restore of a snapshot mark, a rollback's or a dry run's).
 
     A no-op unless the session opted in (``sanitize=True`` or
     ``REPRO_SANITIZE=1``): the guard is one attribute read, so production
@@ -175,13 +179,13 @@ def _audited(method):
 
 
 @dataclass(frozen=True)
-class SessionSnapshot:
-    """An O(1)-to-take checkpoint of a :class:`ChaseSession`.
+class _Mark:
+    """One entry of a :class:`ChaseSession`'s snapshot stack.
 
-    ``mark``/``apps`` locate the checkpoint on the trail; ``gen`` records
-    the session's rewind generation (a checkpoint is trail-restorable only
-    while no rewind has happened since it was taken); ``rows`` are the raw
-    tuples at checkpoint time, the rebuild fallback.
+    ``mark``/``apps`` locate it on the trail; ``gen`` records the
+    session's rewind generation (a mark is trail-restorable only while no
+    rewind has happened since it was taken); ``rows`` are the raw tuples
+    at that moment, the rebuild fallback.
     """
 
     mark: int
@@ -203,9 +207,9 @@ class ChaseSession(SignatureChaseCore):
         session.delete(0)
         session.has_nothing          # Theorem 4(b), maintained live
         session.check()              # TEST-FDs on the maintained instance
-        snap = session.snapshot()
+        session.snapshot()                   # push a mark: depth 1
         session.insert(("a", "b9", "c9"))    # conflicts: poisons the state
-        session.rollback(snap)               # un-happens it
+        session.rollback()                   # un-happens it
 
     The first argument may be a :class:`~repro.core.relation.Relation`
     (its rows become the initial stream) or a bare schema plus ``rows``.
@@ -216,7 +220,6 @@ class ChaseSession(SignatureChaseCore):
         source: Union[Relation, RelationSchema],
         fds: Iterable[FDInput],
         rows: Iterable[Sequence[Any] | Row] = (),
-        fast_retire: bool = True,
         sanitize: Optional[bool] = None,
     ) -> None:
         #: opt-in invariant sweep after every public mutation
@@ -232,10 +235,9 @@ class ChaseSession(SignatureChaseCore):
         else:
             schema, initial = source, []
         initial.extend(Relation(schema, rows).rows)
-        #: in-place row retirement for deletes/updates of merge-free rows;
-        #: ``False`` forces the PR-3 rewind/rebuild discipline (kept as a
-        #: switch so benchmarks and differential tests can race the two)
-        self._fast_retire = fast_retire
+        #: the snapshot stack, one mark per outstanding :meth:`snapshot`;
+        #: kept across rebuilds (a mark holds its own rows for that case)
+        self.snapshots: List[_Mark] = []
         #: op-outcome counters, kept across rebuilds (see :meth:`stats`)
         self._stats: Dict[str, int] = {
             "retire_fast": 0,
@@ -498,8 +500,6 @@ class ChaseSession(SignatureChaseCore):
         the ratchet fences off later rewinds and the generation bump sends
         older snapshots to their rebuild fallback.
         """
-        if not self._fast_retire:
-            return False
         slot = self._slots[index]
         if self._row_witness.get(slot):
             return False
@@ -791,54 +791,92 @@ class ChaseSession(SignatureChaseCore):
             and mine.has_nothing == reference.has_nothing
         )
 
-    # -- snapshots ---------------------------------------------------------
+    # -- the snapshot stack ------------------------------------------------
 
-    def snapshot(self) -> SessionSnapshot:
-        """Checkpoint the current state (O(1) plus one row-list copy)."""
-        return SessionSnapshot(
+    def _mark(self) -> _Mark:
+        """Where the session stands (O(1) plus one row-list copy)."""
+        return _Mark(
             len(self._trail),
             len(self.applications),
             self._gen,
             tuple(self._raw_rows),
         )
 
-    @_audited
-    def rollback(self, token: SessionSnapshot) -> None:
-        """Restore the state :meth:`snapshot` captured.
+    def snapshot(self) -> int:
+        """Emit ``("snapshot",)`` and push a rollback mark; returns the
+        stack depth."""
+        self._emit(("snapshot",))
+        self.snapshots.append(self._mark())
+        return len(self.snapshots)
 
-        Fast path — no rewind happened since the checkpoint — pops the
-        trail back to its mark.  Otherwise (an intervening delete/update
-        rewound below it) the session rebuilds from the checkpoint's raw
-        rows; either way the restored state is exact.
+    def rollback(self) -> int:
+        """Emit ``("rollback",)``, pop the latest mark and restore the
+        state it captured; returns the depth of the snapshot restored.
+
+        Raises the coded :class:`~repro.errors.OpError`
+        ``E_ROLLBACK_UNDERFLOW`` when no snapshot is outstanding.
         """
-        if token.gen == self._gen and token.mark <= len(self._trail):
-            self._undo_to(token.mark, token.apps)
+        if not self.snapshots:
+            raise OpError(
+                "E_ROLLBACK_UNDERFLOW",
+                "rollback without a snapshot",
+                hint="every rollback needs an earlier unmatched snapshot",
+            )
+        self._emit(("rollback",))
+        self._restore(self.snapshots.pop())
+        return len(self.snapshots) + 1
+
+    def discard_snapshots(self) -> int:
+        """Emit ``("discard",)`` and drop every outstanding mark *without*
+        rolling back; returns how many were dropped (0, and no record,
+        when none were)."""
+        if not self.snapshots:
+            return 0
+        self._emit(("discard",))
+        discarded = len(self.snapshots)
+        self.snapshots.clear()
+        return discarded
+
+    @_audited
+    def _restore(self, mark: _Mark) -> None:
+        """Restore the state ``mark`` captured.
+
+        Fast path — no rewind happened since the mark — pops the trail
+        back to it.  Otherwise (an intervening delete/update rewound below
+        it) the session rebuilds from the mark's raw rows; either way the
+        restored state is exact.
+        """
+        if mark.gen == self._gen and mark.mark <= len(self._trail):
+            self._undo_to(mark.mark, mark.apps)
         else:
-            self._rebuild(list(token.rows))
+            self._rebuild(list(mark.rows))
 
     @contextmanager
     def dry_run(self) -> Iterator[None]:
         """Run a block of ops, then undo it as if it never ran.
 
-        On exit the session rolls back to where the block started, and
-        :meth:`stats` forgets the block's op outcomes and its undo.  When
-        the undo is a pure trail pop (nothing in the block rewound), the
-        trail is again exactly what it was, so the generation and the
-        rewrite guard are restored too: :attr:`cut` reads as before, and
-        leases and snapshots taken before the block stay fast.  That is
-        sound only because no lease or snapshot taken *inside* the block
-        outlives it — the caller must not let one escape.  A block that
-        rewound keeps its generation bump, and its undo is a level
-        rebuild.
+        On exit the session is restored to a private mark taken where the
+        block started (not on the stack, and emitting nothing), the
+        snapshot stack is put back as it was found, and :meth:`stats`
+        forgets the block's op outcomes and its undo.  When the undo is a
+        pure trail pop (nothing in the block rewound), the trail is again
+        exactly what it was, so the generation and the rewrite guard are
+        restored too: :attr:`cut` reads as before, and leases and
+        snapshots taken before the block stay fast.  That is sound only
+        because no lease taken *inside* the block outlives it — the
+        caller must not let one escape.  A block that rewound keeps its
+        generation bump, and its undo is a level rebuild.
         """
         counters = dict(self._stats)
         ratchet = self._ratchet_mark
-        start = self.snapshot()
+        stack = list(self.snapshots)
+        start = self._mark()
         try:
             yield
         finally:
             popped = start.gen == self._gen and start.mark <= len(self._trail)
-            self.rollback(start)
+            self._restore(start)
+            self.snapshots[:] = stack
             if popped:
                 self._gen = start.gen
                 self._ratchet_mark = ratchet
@@ -1070,10 +1108,10 @@ class ChaseSession(SignatureChaseCore):
 class ReadLease:
     """A consistent-cut read handle on a :class:`ChaseSession`.
 
-    Taking a lease costs one raw-row tuple copy — the same cut
-    :meth:`ChaseSession.snapshot` records, minus the trail bookkeeping,
-    because a lease can never roll the session back; it can only *read*
-    the state as of the cut, through :meth:`instance`:
+    Taking a lease costs one raw-row tuple copy — the rows a mark on the
+    session's snapshot stack records, minus the trail position, because a
+    lease can never roll the session back; it can only *read* the state
+    as of the cut, through :meth:`instance`:
 
     * **live** — while the source session is provably unchanged (its
       :attr:`~ChaseSession.cut` still equals the lease's :attr:`cut`;

@@ -44,20 +44,19 @@ entry-by-entry.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 class UnionFind:
     """Union-find over the integers ``0 .. n-1`` (growable).
 
     Structures layered on top of the partition (the chase core's occurrence
-    index, for instance) can subscribe to merges via :attr:`on_union`: after
-    every *successful* union it is called with ``(survivor, absorbed)`` root
-    ids, so the subscriber can move exactly the bookkeeping attached to the
-    absorbed class — no full rescan.
+    index, for instance) are moved by the caller of :meth:`union`, which
+    returns the survivor, so it can move exactly the bookkeeping attached
+    to the absorbed class — no full rescan.
     """
 
-    __slots__ = ("parent", "size", "weight", "merges", "on_union", "trail")
+    __slots__ = ("parent", "size", "weight", "merges", "trail")
 
     def __init__(self, count: int = 0) -> None:
         self.parent: List[int] = list(range(count))
@@ -68,8 +67,6 @@ class UnionFind:
         self.weight: List[int] = [1] * count
         #: number of successful (class-reducing) unions so far
         self.merges: int = 0
-        #: optional merge-notification hook: ``hook(survivor, absorbed)``
-        self.on_union: Optional[Callable[[int, int], None]] = None
         #: optional shared journal; installing one makes the structure
         #: backtrackable (unions are recorded, path compression stops)
         self.trail: Optional[List[Tuple[Any, ...]]] = None
@@ -126,8 +123,6 @@ class UnionFind:
         self.merges += 1
         if self.trail is not None:
             self.trail.append(("uf", a, b))
-        if self.on_union is not None:
-            self.on_union(a, b)
         return a
 
     # -- backtracking ------------------------------------------------------

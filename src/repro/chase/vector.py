@@ -5,14 +5,14 @@ session's per-``(fd, row)`` signature dict
 (:class:`~repro.chase.core.SignatureChaseCore`), which a batch run would
 build only to throw away, it keeps a **flat integer array of class roots
 per column** (stdlib ``array('q')``).
-The union-find ``on_union`` hook rewrites the moved cells' slots in place,
+Every merge rewrites the moved cells' slots in place (:meth:`_moved`),
 so after any burst of merges, regrouping an FD is one linear pass over its
 column slices — no ``find`` calls, no per-row dict updates — rebucketing
 rows by reading machine integers out of contiguous memory.
 
 Soundness of the regroup-until-clean loop: a merge that changes some row's
 X-signature for FD ``k`` necessarily moved one of that row's ``k``-lhs
-cells, and the hook re-dirties ``k`` whenever that happens — including for
+cells, and :meth:`_moved` re-dirties ``k`` whenever that happens — including for
 merges fired *during* ``k``'s own regroup pass.  So when the dirty set
 drains empty, the last regroup of every FD ran over signatures that were
 stable throughout the pass, i.e. a true fixpoint check.  Termination: a
@@ -63,7 +63,7 @@ class VectorChaseState(ChaseState):
                 self._lhs_fds_by_col[col].append(k)
         n_rows = len(self.cells)
         #: per-column root arrays: ``_roots[c][r] == uf.find(cells[r][c])``,
-        #: maintained eagerly by the union hook.  Fresh states intern every
+        #: maintained eagerly by :meth:`_moved`.  Fresh states intern every
         #: cell to a root node, so the initial copy is already correct.
         self._roots: List[array] = [
             array("q", (self.cells[r][c] for r in range(n_rows)))
@@ -78,9 +78,8 @@ class VectorChaseState(ChaseState):
             self.uf.set_weight(node, len(cells))
         #: FDs whose signature groups may be stale
         self._dirty: Set[int] = set()
-        self.uf.on_union = self._on_union
 
-    def _on_union(self, survivor: int, absorbed: int) -> None:
+    def _moved(self, survivor: int, absorbed: int) -> None:
         """Rewrite the moved cells' root slots; dirty the FDs that look."""
         moved = self._occ.pop(absorbed, None)
         if not moved:

@@ -86,7 +86,6 @@ from .explain import explain_chase, explain_outcome
 from .normalization import bcnf_decompose, synthesize_3nf
 from .opschema import (
     MUTATION_VERBS,
-    SessionTarget,
     apply_op,
     parse_cell,
     parse_op,
@@ -180,8 +179,8 @@ _ECHO = {
 def run_script(target, lines: Sequence[str]) -> None:
     """Execute an op script against a session-shaped target.
 
-    ``target`` is a :class:`~repro.opschema.SessionTarget` or a durable
-    :class:`repro.db.ManagedRelation`.  Each line is parsed by
+    ``target`` is a :class:`~repro.chase.session.ChaseSession` or a
+    durable :class:`repro.db.ManagedRelation`.  Each line is parsed by
     :func:`repro.opschema.parse_op` — the parser ``repro lint`` uses —
     and each mutation applied by :func:`repro.opschema.apply_op`.  A
     failing op raises :class:`~repro.errors.ScriptError` carrying the
@@ -253,14 +252,13 @@ def _cmd_session(args: argparse.Namespace) -> int:
     else:
         raise ReproError("session needs --data or --attrs")
 
-    target = SessionTarget(session)
     status = 0
     try:
-        run_script(target, _read_script(args.script))
+        run_script(session, _read_script(args.script))
     except ScriptError as error:
         print(f"error: {error.diagnostic().render()}", file=sys.stderr)
         status = 2
-    return _finish_script(target, status, args.stats)
+    return _finish_script(session, status, args.stats)
 
 
 def _lint_query_catalog(args: argparse.Namespace):

@@ -5,7 +5,8 @@ each backed by a live :class:`~repro.chase.session.ChaseSession` plus a
 write-ahead op log:
 
 * every mutation (insert / delete / update / replace / fill / reset /
-  adopt, plus the snapshot stack's snapshot / rollback / discard) is
+  adopt, plus the session's snapshot stack's snapshot / rollback /
+  discard), called on the managed relation or on its session alike, is
   **journalled before it is applied** — the session's op-record hook
   fires after validation, the managed relation appends the encoded
   record to ``wal.jsonl``, and only then does the engine mutate;
@@ -40,7 +41,7 @@ import shutil
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
-from ..chase.session import ChaseSession, SessionSnapshot
+from ..chase.session import ChaseSession
 from ..core.codec import (
     ValueCodec,
     fds_from_spec,
@@ -52,7 +53,6 @@ from ..core.domain import Domain
 from ..core.fd import FDInput
 from ..core.schema import RelationSchema
 from ..errors import DatabaseError
-from ..opschema import SessionTarget
 from . import log as oplog
 from . import storage
 from .log import OpLog, SYNC_FSYNC, SYNC_MODES
@@ -61,22 +61,19 @@ from .recovery import replay
 _NAME = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 
 
-class ManagedRelation(SessionTarget):
+class ManagedRelation:
     """One named relation of a :class:`Database`: a chase session whose
     every mutation is journalled to a write-ahead op log.
 
-    A managed relation is the session's
-    :class:`~repro.opschema.SessionTarget` (mutators, the depth-returning
-    snapshot stack, and every other session member resolve there) with
-    its ``on_op`` hook pointed at :meth:`_journal`.  All ten mutation
-    records — the seven the session's mutators emit and the
-    ``snapshot``/``rollback``/``discard`` the stack emits — pass that one
-    hook, so calling a mutator on :attr:`session` directly is journalled
-    too.  Only ``session.snapshot()``/``session.rollback()`` must not be
-    called directly (they would not be journalled; use the target's
-    pair).  What durability adds: the encoded journal, :attr:`seq` and
-    :attr:`checkpoint_seq`, cut-stamped :meth:`result`/:meth:`check`,
-    :meth:`checkpoint`, :meth:`close`.
+    A managed relation holds its :attr:`session`, with the session's
+    ``on_op`` hook pointed at :meth:`_journal`, and forwards to it every
+    member it does not define: the mutators, the snapshot stack and the
+    reads.  All ten mutation records — the snapshot stack's
+    ``snapshot``/``rollback``/``discard`` among them — pass that one
+    hook, so an op is journalled whether it is called here or on
+    :attr:`session`.  What durability adds: the encoded journal,
+    :attr:`seq` and :attr:`checkpoint_seq`, cut-stamped
+    :meth:`result`/:meth:`check`, :meth:`checkpoint`, :meth:`close`.
     """
 
     def __init__(
@@ -89,11 +86,8 @@ class ManagedRelation(SessionTarget):
         seq: int,
         checkpoint_seq: int,
         recovery_info: Optional[dict] = None,
-        snapshots: Optional[List[SessionSnapshot]] = None,
     ) -> None:
-        # recovery hands in the stack its replay rebuilt, so a snapshot
-        # outstanding at crash time can still be rolled back
-        super().__init__(session, snapshots)
+        self.session = session
         self.name = name
         self._dir = directory
         self._codec = codec
@@ -114,6 +108,12 @@ class ManagedRelation(SessionTarget):
         #: shares one sync — see :mod:`repro.server.writer`.
         self.journal_sink = wal.append
         session.on_op = self._journal
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.session, name)
+
+    def __len__(self) -> int:
+        return len(self.session)
 
     # -- journaling --------------------------------------------------------
 
@@ -210,7 +210,8 @@ class ManagedRelation(SessionTarget):
         log, or new checkpoint + stale log (skipped by seq), or new
         checkpoint + empty log.
 
-        Refused while a :meth:`snapshot` is outstanding: a checkpoint
+        Refused while a snapshot is outstanding on the session's stack
+        (:attr:`~repro.chase.session.ChaseSession.snapshots`): a checkpoint
         records only the *current* state, so absorbing the snapshot's
         record would leave its later ``rollback`` nothing to restore —
         recovery of such a log could never reproduce the pre-snapshot
@@ -381,8 +382,9 @@ class Database:
             # state as of the last completed op
             with open(wal_path, "r+b") as handle:
                 handle.truncate(good_bytes)
-        snapshots: List[SessionSnapshot] = []
-        seq = replay(session, records, codec, base_seq, snapshots)
+        # a snapshot outstanding at crash time is back on the session's
+        # stack, so it can still be rolled back
+        seq = replay(session, records, codec, base_seq)
         info = {
             "replayed": seq - base_seq,
             "torn_tail_dropped": torn,
@@ -391,8 +393,7 @@ class Database:
         }
         wal = OpLog(wal_path, sync=self.sync)
         managed = ManagedRelation(
-            name, directory, session, codec, wal, seq, base_seq, info,
-            snapshots=snapshots,
+            name, directory, session, codec, wal, seq, base_seq, info
         )
         from ..analysis import sanitize  # local: keeps the layer import-light
 

@@ -17,10 +17,12 @@ yields the script's read records, ``("check", convention)``,
 log payload by :func:`repro.db.log.decode_op` and a wire request by
 :func:`repro.db.log.decode_request` (the same layout, refusing two
 records the log may hold but a client should not send).  One
-executor, :func:`apply_op`, then applies a mutation record to one kind
-of target, a :class:`SessionTarget`: a session plus its snapshot stack,
-what a script, recovery and the linter's dry run drive, and what a
-durable :class:`repro.db.ManagedRelation` is.
+executor, :func:`apply_op`, then applies a mutation record to a
+:class:`~repro.chase.session.ChaseSession` — what a script, recovery,
+the linter's dry run and the section 7 guard drive — or to a durable
+:class:`repro.db.ManagedRelation`, which forwards to its session.  The
+snapshot stack is the session's, so every record passes the session's
+``on_op`` hook whichever handle applied it.
 
 The module depends only on the leaf modules :mod:`repro.core.values` and
 :mod:`repro.errors`: the analysis layer imports it without touching the
@@ -30,7 +32,7 @@ server, and the server without touching the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .core.values import null
 from .errors import OpError
@@ -210,20 +212,18 @@ def parse_op(text: str) -> Tuple[Any, ...]:
 # ---------------------------------------------------------------------------
 
 
-def apply_op(
-    target: SessionTarget, record: Tuple[Any, ...]
-) -> Dict[str, Any]:
+def apply_op(target: Any, record: Tuple[Any, ...]) -> Dict[str, Any]:
     """Apply one mutation record to ``target``; return the ack fields.
 
-    ``target`` is a :class:`SessionTarget` (a durable relation is one):
-    the session's mutators and the target's snapshot stack each hand the
-    record to the session's ``on_op`` hook before the op changes
-    anything, so a hook that raises refuses the op.  The fields are what
-    the op reports beyond its ``seq``: ``index`` for an insert, ``rows``
-    after a reset, ``committed`` for an adopt, ``depth`` for a snapshot
-    or rollback, ``discarded`` for a discard.  The record comes from
-    :func:`parse_op` or :func:`repro.db.log.decode_op`, which refuse an
-    unknown verb.
+    ``target`` is a :class:`~repro.chase.session.ChaseSession` or a
+    durable :class:`repro.db.ManagedRelation`: every mutator of the
+    session, the snapshot stack's three included, hands the record to
+    the session's ``on_op`` hook before the op changes anything, so a
+    hook that raises refuses the op.  The fields are what the op reports beyond its
+    ``seq``: ``index`` for an insert, ``rows`` after a reset,
+    ``committed`` for an adopt, ``depth`` for a snapshot or rollback,
+    ``discarded`` for a discard.  The record comes from :func:`parse_op`
+    or :func:`repro.db.log.decode_op`, which refuse an unknown verb.
     """
     op = record[0]
     if op == "insert":
@@ -258,60 +258,3 @@ def require_durable(durable: bool) -> None:
             "E_CHECKPOINT_SCOPE",
             "checkpoint is a durable-database op; use repro db",
         )
-
-
-class SessionTarget:
-    """A :class:`~repro.chase.session.ChaseSession` as an :func:`apply_op`
-    target: the session plus a depth-returning snapshot stack.
-
-    The stack (``snapshots``, a fresh list unless the caller hands one
-    in) holds the session's snapshot tokens.  :meth:`snapshot`,
-    :meth:`rollback` and :meth:`discard_snapshots` hand their records to
-    the session's ``on_op`` hook as its own mutators do (after the op's
-    checks, before any change), so all ten mutation records pass one
-    hook: a durable relation's journal (:class:`repro.db.ManagedRelation`
-    is this class with that hook armed), lint's dry-run probe, or none.
-    Everything else is the session's.
-    """
-
-    def __init__(
-        self, session: Any, snapshots: Optional[List[Any]] = None
-    ) -> None:
-        self.session = session
-        self.snapshots: List[Any] = [] if snapshots is None else snapshots
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.session, name)
-
-    def __len__(self) -> int:
-        return len(self.session)
-
-    def snapshot(self) -> int:
-        """Emit and push a rollback mark; returns the stack depth."""
-        self.session._emit(("snapshot",))
-        self.snapshots.append(self.session.snapshot())
-        return len(self.snapshots)
-
-    def rollback(self) -> int:
-        """Emit and restore the latest mark; returns the depth of the
-        snapshot that was restored."""
-        if not self.snapshots:
-            raise OpError(
-                "E_ROLLBACK_UNDERFLOW",
-                "rollback without a snapshot",
-                hint="every rollback needs an earlier unmatched snapshot",
-            )
-        self.session._emit(("rollback",))
-        self.session.rollback(self.snapshots.pop())
-        return len(self.snapshots) + 1
-
-    def discard_snapshots(self) -> int:
-        """Emit and drop every outstanding mark *without* rolling back;
-        returns how many were dropped (0, and no record, when none
-        were)."""
-        if not self.snapshots:
-            return 0
-        self.session._emit(("discard",))
-        discarded = len(self.snapshots)
-        self.snapshots.clear()
-        return discarded

@@ -42,7 +42,7 @@ from ..api import TAG_CERTAIN, WIRE_VERSION, Answer, ResultSet
 from ..core.values import is_null
 from ..db.database import Database
 from ..db.log import SYNC_FSYNC
-from ..errors import ReproError
+from ..errors import OpError, ReproError
 from ..explain import explain_chase
 from ..query import parse_query, relation_names
 from ..query.evaluate import Evaluator
@@ -344,12 +344,16 @@ class ReproServer:
                 as_of=as_of,
                 live=True,
             )
-        # check's arguments, read here on the loop
+        # check's arguments, read here on the loop, before any lease
         fds = request.get("fds")
         if isinstance(fds, str):
             fds = [clause for clause in fds.split(";") if clause.strip()]
         elif fds is None:
             fds = list(relation.session.fds)
+        elif not (isinstance(fds, list) and all(isinstance(f, str) for f in fds)):
+            raise OpError(
+                "E_BAD_REQUEST", "'fds' must be a string or a list of strings"
+            )
         convention = request.get("convention", "weak")
         name = relation.name
         answer = await self._at_cut(

@@ -52,7 +52,7 @@ from ..errors import ReproError
 # the wire vocabulary is derived from the shared op table, so the CLI,
 # the linter, and the server agree on it by construction
 from ..opschema import MUTATION_VERBS, QUERY_VERB, READ_VERBS  # noqa: F401
-from ..opschema import SessionTarget, apply_op
+from ..opschema import apply_op
 
 
 def decode_cell(relation: ManagedRelation, token: Any) -> Any:
@@ -89,9 +89,9 @@ def lint_batch(relation: ManagedRelation, requests: Any) -> list:
     The server calls this as a batch's admission step, in the writer's
     turn (:meth:`~repro.server.writer.RelationWriter.submit_many`): every
     op queued ahead of the batch has applied, so the session is exactly
-    the state the batch will meet.  The ops run on the live session and
-    a copy of the relation's snapshot stack, with the journal hook
-    swapped for lint's probe; then the session is rolled back and the
+    the state the batch will meet.  The ops run on the live session, its
+    snapshot stack included, with the journal hook swapped for lint's
+    probe; then the session is rolled back, its stack put back and the
     hook restored — no record is journalled, and the session is left as
     it was found.  Returns :class:`repro.analysis.Diagnostic` findings:
     error severity means the writer would fail that op, and the batch is
@@ -116,7 +116,7 @@ def lint_batch(relation: ManagedRelation, requests: Any) -> list:
         session.schema,
         session.fds,
         requests,
-        target=SessionTarget(session, list(relation.snapshots)),
+        target=session,
         known_null=relation.knows_null,
         decode=relation.decode_value,
     )

@@ -93,7 +93,15 @@ def check_fds(
     instance; ``ensure_minimal=True`` chases first (basic NS-rules; the
     chase's NECs are carried into the comparisons automatically because its
     output shares one ``Null`` object per class).
+
+    Any ``convention`` but ``"weak"`` and ``"strong"`` raises
+    :class:`~repro.errors.ConventionError` before anything runs.
     """
+    if convention not in (CONVENTION_WEAK, CONVENTION_STRONG):
+        raise ConventionError(
+            f"unknown convention {convention!r}; conventions: "
+            f"{CONVENTION_WEAK}, {CONVENTION_STRONG}"
+        )
     fd_list = list(fds)
     if convention == CONVENTION_WEAK and ensure_minimal:
         from ..chase import MODE_BASIC, minimally_incomplete

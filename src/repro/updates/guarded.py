@@ -24,27 +24,33 @@ both satisfiability notions are preserved under subsets (each surviving
 tuple's completions only lose potential violators) — asserted in tests
 rather than trusted.
 
-The guard runs on a :class:`repro.chase.ChaseSession`.  Weak admission
-is the session's live ``has_nothing`` verdict after optimistically
-applying the change; an inadmissible change is un-happened through the
-session's backtrackable trail (snapshot → try → rollback), so a rejected
-attempt costs the work it caused plus its undo — not a re-chase.
-Inserts and fills maintain the fixpoint incrementally.  Deletes and
-updates under ``propagate`` take a level rebuild instead: the stored
-rows carry ratcheted (adopted) information a trail rewind would peel
-back, but because those rows are already a fixpoint the rebuild is a
-single encode-and-sign pass, not the seed's iterate-to-convergence
-re-chase.  On an admissible (weakly satisfiable) instance the extended
-fixpoint never poisons, which makes it coincide with the basic NS-rule
-fixpoint the paper's "internal acquisition" adopts: the session's
-maintained instance *is* the settled instance earlier revisions
-re-chased for.
+The guard runs on a private :class:`repro.chase.ChaseSession`, and
+speaks to it in the op records every other surface speaks: each
+modification is one record (``("insert", row)``, ``("delete", i)``,
+``("update", i, changes)``, ``("fill", i, attr, value)``) applied by
+:func:`repro.opschema.apply_op` between a ``snapshot()`` and either a
+``rollback()`` (inadmissible) or a ``discard_snapshots()`` (admitted).
+The verdict reads the session as it stands: weak admission is its live
+``has_nothing`` (Theorem 4(b)); strong admission is TEST-FDs under the
+strong convention (Theorem 2) on its raw rows, the instance as stored,
+nulls unresolved.  An inadmissible change is un-happened through the
+session's backtrackable trail, so a rejected attempt costs the work it
+caused plus its undo — not a re-chase.  Inserts and fills maintain the
+fixpoint incrementally.  Deletes and updates under ``propagate`` take a
+level rebuild instead: the stored rows carry ratcheted (adopted)
+information a trail rewind would peel back, but because those rows are
+already a fixpoint the rebuild is a single encode-and-sign pass, not the
+seed's iterate-to-convergence re-chase.  On an admissible (weakly
+satisfiable) instance the extended fixpoint never poisons, which makes
+it coincide with the basic NS-rule fixpoint the paper's "internal
+acquisition" adopts: after ``adopt()`` the session's raw rows *are* the
+settled instance earlier revisions re-chased for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Sequence, Union
+from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
 from ..chase.session import ChaseSession
 from ..core.fd import FDInput, FDSet, as_fd
@@ -53,6 +59,7 @@ from ..core.schema import RelationSchema
 from ..core.tuples import Row
 from ..core.values import NOTHING, Null, is_null
 from ..errors import ReproError, SchemaError
+from ..opschema import apply_op
 from ..testfd import CONVENTION_STRONG, check_fds
 
 POLICY_WEAK = "weak"
@@ -84,9 +91,9 @@ class GuardedRelation:
 
     With ``propagate=True`` (default) the stored instance is the session's
     maintained minimally incomplete fixpoint — forced substitutions and
-    NECs adopted as they become forced, the "internal acquisition"
-    channel.  With ``propagate=False`` the raw tuples are stored verbatim
-    and the session is consulted for admission only.
+    NECs adopted into the raw rows as they become forced, the "internal
+    acquisition" channel.  With ``propagate=False`` the raw tuples are
+    stored verbatim and the session is consulted for admission only.
     """
 
     def __init__(
@@ -104,30 +111,22 @@ class GuardedRelation:
         self.policy = policy
         self.propagate = propagate
         self.log: List[UpdateResult] = []
-        initial = Relation(schema, rows)
-        self._session = ChaseSession(schema, self.fds)
-        for row in initial.rows:
-            self._session.insert(row)
-        admissible = (
-            check_fds(initial, self.fds, CONVENTION_STRONG).satisfied
-            if policy == POLICY_STRONG
-            else not self._session.has_nothing
-        )
-        if not admissible:
+        self._session = ChaseSession(schema, self.fds, rows)
+        if not self._admissible():
             raise ReproError(
                 f"initial instance does not satisfy the FDs under the "
                 f"{policy!r} policy"
             )
         if propagate:
             self._session.adopt()
-        self._refresh()
 
     # -- views ---------------------------------------------------------------
 
     @property
     def relation(self) -> Relation:
-        """The current instance (chased, when propagation is on)."""
-        return self._relation
+        """The current instance: the session's raw rows, which under
+        propagation hold the adopted (chased) fixpoint."""
+        return self._session.raw_relation()
 
     @property
     def session(self) -> ChaseSession:
@@ -135,61 +134,72 @@ class GuardedRelation:
         return self._session
 
     def __len__(self) -> int:
-        return len(self._relation)
+        return len(self._session)
 
     def __iter__(self):
-        return iter(self._relation)
+        return iter(self.relation)
 
     def to_text(self) -> str:
-        return self._relation.to_text()
+        return self.relation.to_text()
 
     # -- policy plumbing -----------------------------------------------------
 
-    def _refresh(self) -> None:
-        self._relation = (
-            self._session.result().relation
-            if self.propagate
-            else self._session.raw_relation()
-        )
+    def _admissible(self) -> bool:
+        """The policy's verdict on the session as it stands.
 
-    def _attempt(self, operation: str, detail: str, mutate, candidate) -> UpdateResult:
-        """Optimistically apply ``mutate`` to the session; undo on
-        inadmissibility.
-
-        ``candidate`` is the would-be instance at the stored-view level,
-        used only for the strong policy's stateless Theorem-2 check (the
+        Weak admission is the session's live Theorem-4(b) verdict.  The
         strong convention judges the instance *as stored*, nulls
-        unresolved — the maintained fixpoint cannot answer that).  Weak
-        admission is the session's live Theorem-4(b) verdict.
+        unresolved (Theorem 2), which the maintained fixpoint cannot
+        answer, so it reads the raw rows.
         """
         if self.policy == POLICY_STRONG:
-            if not check_fds(candidate, self.fds, CONVENTION_STRONG).satisfied:
-                return self._log_rejection(
-                    operation,
-                    f"{detail}: would make the constraints not strongly satisfied",
-                )
-            before = self._forced_ids()
-            mutate()  # strong implies weak: the session cannot poison
-        else:
-            before = self._forced_ids()
-            snap = self._session.snapshot()
-            mutate()
-            if self._session.has_nothing:
-                self._session.rollback(snap)
-                return self._log_rejection(
-                    operation,
-                    f"{detail}: would make the constraints unsatisfiable in "
-                    "every completion",
-                )
+            stored = self._session.raw_relation()
+            return check_fds(stored, self.fds, CONVENTION_STRONG).satisfied
+        return not self._session.has_nothing
+
+    def _attempt(
+        self, operation: str, detail: str, record: Tuple[Any, ...]
+    ) -> UpdateResult:
+        """Apply the op ``record`` to the session; undo it unless admitted.
+
+        The session is the guard's own, so its snapshot stack holds only
+        this attempt's mark.  An op that raises is undone as well, and
+        the error propagates.
+        """
+        session = self._session
+        before = self._forced_ids()
+        session.snapshot()
+        admitted = False
+        try:
+            apply_op(session, record)
+            admitted = self._admissible()
+        finally:
+            if admitted:
+                session.discard_snapshots()
+            else:
+                session.rollback()
+        if not admitted:
+            reason = (
+                "would make the constraints not strongly satisfied"
+                if self.policy == POLICY_STRONG
+                else "would make the constraints unsatisfiable in every "
+                "completion"
+            )
+            return self._log_rejection(operation, f"{detail}: {reason}")
         outcome = UpdateResult(True, operation, detail, self._forced_delta(before))
         if self.propagate:
             # internal acquisition is a ratchet: forced substitutions and
             # NEC links become stored data, surviving later modifications
             # of the tuples that forced them
-            self._session.adopt()
-        self._refresh()
+            session.adopt()
         self.log.append(outcome)
         return outcome
+
+    def _row(self, index: int) -> Row:
+        """The stored tuple at ``index``; a bad index raises here."""
+        if not 0 <= index < len(self._session):
+            raise SchemaError(f"no row at index {index}")
+        return self._session.rows[index]
 
     def _forced_ids(self) -> Dict[int, Any]:
         if not self.propagate:
@@ -216,29 +226,12 @@ class GuardedRelation:
     def insert(self, values: Union[Sequence[Any], Row]) -> UpdateResult:
         """Admit a new tuple if the constraints stay satisfiable."""
         row = values if isinstance(values, Row) else Row(self.schema, values)
-        return self._attempt(
-            "insert",
-            f"insert {row!r}",
-            lambda: self._session.insert(row),
-            self._relation.with_rows([row]),
-        )
+        return self._attempt("insert", f"insert {row!r}", ("insert", row))
 
     def delete(self, index: int) -> UpdateResult:
         """Remove the tuple at ``index`` (always admissible)."""
-        if not 0 <= index < len(self._relation):
-            raise SchemaError(f"no row at index {index}")
-        removed = self._relation[index]
-        rows = [r for i, r in enumerate(self._relation.rows) if i != index]
-        # under propagation the stored rows carry ratcheted (adopted)
-        # information; the session's own ratchet guard makes its delete
-        # take the level-rebuild path there, never a rewind that could
-        # peel adopted data back
-        return self._attempt(
-            "delete",
-            f"delete {removed!r}",
-            lambda: self._session.delete(index),
-            Relation(self.schema, rows),
-        )
+        removed = self._row(index)
+        return self._attempt("delete", f"delete {removed!r}", ("delete", index))
 
     def update(self, index: int, changes: Dict[str, Any]) -> UpdateResult:
         """Modify attributes of the tuple at ``index`` (try-then-undo).
@@ -246,23 +239,10 @@ class GuardedRelation:
         The replacement starts from the *stored* tuple — with propagation
         on, values the chase already grounded stay grounded.
         """
-        if not 0 <= index < len(self._relation):
-            raise SchemaError(f"no row at index {index}")
-        mapping = self._relation[index].as_dict()
-        for attr, value in changes.items():
-            if attr not in self.schema:
-                raise SchemaError(f"unknown attribute {attr!r}")
-            mapping[attr] = value
-        replacement = Row.from_mapping(self.schema, mapping)
-        rows = [
-            replacement if i == index else r
-            for i, r in enumerate(self._relation.rows)
-        ]
         return self._attempt(
             "update",
             f"update row {index} with {changes}",
-            lambda: self._session.replace(index, replacement),
-            Relation(self.schema, rows),
+            ("update", index, changes),
         )
 
     def fill(self, index: int, attribute: str, value: Any) -> UpdateResult:
@@ -273,22 +253,17 @@ class GuardedRelation:
         value that a user can insert without the creation of an
         inconsistency" — section 4).
         """
-        if not 0 <= index < len(self._relation):
-            raise SchemaError(f"no row at index {index}")
-        cell = self._relation[index][attribute]
+        cell = self._row(index)[attribute]
         if not is_null(cell):
             return self._log_rejection(
                 "fill",
                 f"fill row {index}.{attribute}: cell is not null "
                 f"(holds {cell!r})",
             )
-        substitution = {cell: value}
-        rows = [row.substitute(substitution) for row in self._relation.rows]
         return self._attempt(
             "fill",
             f"fill row {index}.{attribute} := {value!r}",
-            lambda: self._session.fill(index, attribute, value),
-            Relation(self.schema, rows),
+            ("fill", index, attribute, value),
         )
 
     # -- reporting -----------------------------------------------------------

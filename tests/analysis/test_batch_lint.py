@@ -9,7 +9,6 @@ from repro.analysis import BATCH_VERBS, has_errors, lint_requests
 from repro.chase.session import ChaseSession
 from repro.core.schema import Domain, RelationSchema
 from repro.core.values import null
-from repro.opschema import SessionTarget
 from repro.server import protocol
 
 SCHEMA = RelationSchema("R", "A B C")
@@ -17,10 +16,12 @@ FDS = ["A -> B"]
 
 
 def seeded(rows, snapshots=0):
-    """The target a batch meets: a session over ``rows`` holding
-    ``snapshots`` outstanding snapshots."""
+    """The session a batch meets: over ``rows``, holding ``snapshots``
+    outstanding snapshots."""
     session = ChaseSession(SCHEMA, FDS, rows)
-    return SessionTarget(session, [session.snapshot() for _ in range(snapshots)])
+    for _ in range(snapshots):
+        session.snapshot()
+    return session
 
 
 def codes(requests, **kwargs):

@@ -14,7 +14,6 @@ from repro.analysis import lint_requests
 from repro.chase.session import ChaseSession
 from repro.core.schema import RelationSchema
 from repro.core.values import null
-from repro.opschema import SessionTarget
 
 SCHEMA = RelationSchema("R", "A B C")
 FDS = ["A -> B"]
@@ -28,7 +27,7 @@ def seeded(n=40):
 
 
 def dry_run(session, requests):
-    return lint_requests(SCHEMA, FDS, requests, target=SessionTarget(session))
+    return lint_requests(SCHEMA, FDS, requests, target=session)
 
 
 INSERT = [{"do": "insert", "row": ["a1", {"n": None}, "c9"]}]
@@ -52,11 +51,11 @@ class TestThePreBatchCutSurvives:
 
     def test_a_pre_batch_snapshot_still_rolls_back_by_trail_pop(self):
         session = seeded()
-        token = session.snapshot()
+        session.snapshot()
         dry_run(session, INSERT)
         session.insert(("a2", "b2", "c2"))
         rebuilds = session.stats()["level_rebuild"]
-        session.rollback(token)
+        session.rollback()
         assert session.stats()["level_rebuild"] == rebuilds
         assert session.verify()
 

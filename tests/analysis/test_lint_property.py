@@ -15,7 +15,6 @@ from repro.chase.session import ChaseSession
 from repro.cli import run_script
 from repro.core.schema import RelationSchema
 from repro.errors import ScriptError
-from repro.opschema import SessionTarget
 
 SCHEMA = RelationSchema("R", "A B C")
 FDS = ["A -> B", "B -> C"]
@@ -73,8 +72,7 @@ def test_lint_clean_scripts_execute_without_raising(script):
     diagnostics = lint_script(SCHEMA, FDS, script)
     if has_errors(diagnostics):
         return  # the guarantee speaks only of clean scripts
-    target = SessionTarget(ChaseSession(SCHEMA, FDS))
-    run_script(target, script)  # must not raise
+    run_script(ChaseSession(SCHEMA, FDS), script)  # must not raise
 
 
 @settings(max_examples=120, deadline=None)
@@ -85,9 +83,8 @@ def test_runtime_failures_were_always_flagged(script):
     (The converse of soundness — together they pin the error severity to
     exactly the provably-failing scripts this generator can produce.)
     """
-    target = SessionTarget(ChaseSession(SCHEMA, FDS))
     try:
-        run_script(target, script)
+        run_script(ChaseSession(SCHEMA, FDS), script)
     except ScriptError:
         assert has_errors(lint_script(SCHEMA, FDS, script))
 

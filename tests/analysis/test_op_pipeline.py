@@ -25,7 +25,6 @@ from repro.core.codec import ValueCodec
 from repro.core.schema import Domain, RelationSchema
 from repro.core.values import null
 from repro.errors import ScriptError
-from repro.opschema import SessionTarget
 
 from .test_lint_property import FDS as PROPERTY_FDS
 from .test_lint_property import SCHEMA as PROPERTY_SCHEMA
@@ -162,7 +161,7 @@ def test_script_and_batch_lint_identically_over_seed_rows_sharing_nulls(
             schema,
             FDS,
             as_batch(sequence),
-            target=SessionTarget(ChaseSession(schema, FDS, rows)),
+            target=ChaseSession(schema, FDS, rows),
             known_null=codec.knows,
             decode=codec.decode,
         )
@@ -188,7 +187,7 @@ def test_a_fill_substitutes_a_seeded_shared_null_everywhere():
             {"do": "fill", "index": 0, "attr": "B", "value": "b1"},
             {"do": "fill", "index": 1, "attr": "B", "value": {"n": codec.id_of(shared)}},
         ],
-        target=SessionTarget(ChaseSession(SCHEMAS[0], [], rows)),
+        target=ChaseSession(SCHEMAS[0], [], rows),
         known_null=codec.knows,
         decode=codec.decode,
     )
@@ -206,9 +205,8 @@ def first_error(script):
 
 
 def runtime_failure(script):
-    target = SessionTarget(ChaseSession(PROPERTY_SCHEMA, PROPERTY_FDS))
     try:
-        run_script(target, script)
+        run_script(ChaseSession(PROPERTY_SCHEMA, PROPERTY_FDS), script)
     except ScriptError as error:
         return (error.line, error.code)
     return None

@@ -64,9 +64,9 @@ class TestHealthyStates:
         audit_session(session)
         session.update(0, {"C": "c9"})
         audit_session(session)
-        snap = session.snapshot()
+        session.snapshot()
         session.insert(("a9", "b9", "c9"))
-        session.rollback(snap)
+        session.rollback()
         audit_session(session)
         session.adopt()
         session.compact()

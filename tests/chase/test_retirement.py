@@ -87,10 +87,10 @@ def assert_core_integrity(session):
     assert all(count >= 0 for count in session._row_witness.values())
 
 
-def settled_session(n=16, fds=FDS, fast_retire=True):
+def settled_session(n=16, fds=FDS):
     """A session over n ground rows with unique values everywhere: no
     NS-rule ever fires, so every row is retirable."""
-    session = ChaseSession(SCHEMA, fds, fast_retire=fast_retire)
+    session = ChaseSession(SCHEMA, fds)
     for i in range(n):
         session.insert((f"a{i}", f"b{i}", f"c{i}"))
     return session
@@ -176,14 +176,6 @@ class TestFastPath:
         assert_session_identical(session)
         assert_core_integrity(session)
 
-    def test_fast_retire_off_restores_pr3_discipline(self):
-        session = settled_session(16, fast_retire=False)
-        session.delete(0)
-        stats = session.stats()
-        assert stats["retire_fast"] == 0
-        assert stats["trail_replay"] + stats["level_rebuild"] == 1
-        assert_session_identical(session)
-
     def test_anchor_promotion_keeps_future_collisions_firing(self):
         # rows 0 and 1 share an A-signature but agree on B/C, so their
         # collision fired without merging (witness-free).  Retire the
@@ -252,10 +244,10 @@ class TestReplaceFastPath:
 class TestSnapshotInterplay:
     def test_rollback_across_a_retirement_rebuilds_exactly(self):
         session = settled_session(10)
-        snap = session.snapshot()
+        session.snapshot()
         session.delete(0)
         assert session.stats()["retire_fast"] == 1
-        session.rollback(snap)  # gen bumped: must take the rebuild fallback
+        session.rollback()  # gen bumped: must take the rebuild fallback
         assert len(session) == 10
         assert [row["A"] for row in session.rows][0] == "a0"
         assert_session_identical(session)
@@ -264,10 +256,10 @@ class TestSnapshotInterplay:
     def test_snapshot_after_retirement_still_fast(self):
         session = settled_session(10)
         session.delete(0)
-        snap = session.snapshot()
+        session.snapshot()
         rebuilds = session.stats()["level_rebuild"]
         session.insert(("n1", null(), "n2"))
-        session.rollback(snap)  # no rewind since the snapshot: trail path
+        session.rollback()  # no rewind since the snapshot: trail path
         assert session.stats()["level_rebuild"] == rebuilds
         assert len(session) == 9
         assert_session_identical(session)
@@ -357,10 +349,10 @@ class TestCompactionAndResetInterplay:
 
     def test_snapshot_across_compact_takes_the_rebuild_fallback(self):
         session = self.retire_heavy_session(n=16, deletes=4)
-        snap = session.snapshot()
+        session.snapshot()
         session.compact()
         rebuilds = session.stats()["level_rebuild"]
-        session.rollback(snap)  # compaction invalidated the trail mark
+        session.rollback()  # compaction invalidated the trail mark
         assert session.stats()["level_rebuild"] == rebuilds + 1
         assert len(session) == 14  # 16 - 4 + the 2 hot rows
         assert_core_integrity(session)
@@ -446,7 +438,6 @@ def _materialize(tokens, shared):
 def test_structures_stay_mirrored_after_every_op(ops, fds):
     session = ChaseSession(SCHEMA, fds)
     shared = [null(), null()]
-    snapshots = []
     for kind, cells, index, attr, value in ops:
         if kind == "insert":
             session.insert(Row(SCHEMA, _materialize(cells, shared)))
@@ -471,47 +462,12 @@ def test_structures_stay_mirrored_after_every_op(ops, fds):
         elif kind == "compact":
             session.compact()
         elif kind == "snapshot":
-            snapshots.append(session.snapshot())
+            session.snapshot()
             continue
-        else:
-            if not snapshots:
+        else:  # rollback: to any outstanding snapshot, popping those above
+            if not session.snapshots:
                 continue
-            session.rollback(snapshots.pop(index % len(snapshots)))
+            for _ in range(len(session.snapshots) - index % len(session.snapshots)):
+                session.rollback()
         assert_core_integrity(session)
         assert_session_identical(session)
-
-
-@given(op_sequences(), _fd_lists)
-@settings(max_examples=60, deadline=None)
-def test_fast_and_slow_sessions_agree(ops, fds):
-    """The same op script on fast_retire=True vs False lands on
-    field-identical views and identical raw rows."""
-    fast = ChaseSession(SCHEMA, fds, fast_retire=True)
-    slow = ChaseSession(SCHEMA, fds, fast_retire=False)
-    shared = [null(), null()]
-    for kind, cells, index, attr, value in ops:
-        if kind == "insert":
-            row = Row(SCHEMA, _materialize(cells, shared))
-            fast.insert(row)
-            slow.insert(row)
-        elif kind in ("delete", "update", "replace"):
-            if not len(fast):
-                continue
-            index %= len(fast)
-            if kind == "delete":
-                fast.delete(index)
-                slow.delete(index)
-            elif kind == "update":
-                changes = {attr: _materialize([cells[0]], shared)[0]}
-                fast.update(index, changes)
-                slow.update(index, changes)
-            else:
-                row = Row(SCHEMA, _materialize(cells, shared))
-                fast.replace(index, row)
-                slow.replace(index, row)
-        else:
-            continue  # snapshots etc. exercised by the driver above
-        assert [tuple(r.values) for r in fast.rows] == [
-            tuple(r.values) for r in slow.rows
-        ]
-        assert_field_identical(fast.result(), slow.result())

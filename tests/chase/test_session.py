@@ -222,9 +222,9 @@ class TestRatchetGuard:
         session = ChaseSession(schema_of("A B"), [])
         unknown = null()
         session.insert(("a", unknown))
-        snap = session.snapshot()
+        session.snapshot()
         session.fill(0, "B", "v")
-        session.rollback(snap)
+        session.rollback()
         assert session.rows[0]["B"] is unknown
         # and a fresh fill afterwards works on the restored null
         session.fill(0, "B", "w")
@@ -235,11 +235,11 @@ class TestSnapshots:
     def test_rollback_fast_path(self):
         session = ChaseSession(SCHEMA, ["A -> B"])
         session.insert(("a", null(), "c"))
-        snap = session.snapshot()
+        session.snapshot()
         session.insert(("a", "b1", "c"))
         session.insert(("a", "b2", "c"))
         assert session.has_nothing
-        session.rollback(snap)
+        session.rollback()
         assert len(session) == 1
         assert not session.has_nothing
         assert is_null(session.result().relation[0]["B"])
@@ -249,24 +249,25 @@ class TestSnapshots:
         session = ChaseSession(SCHEMA, ["A -> B"])
         session.insert(("a", null(), "c"))
         session.insert(("d", "e", "f"))
-        snap = session.snapshot()
+        session.snapshot()
         session.delete(0)  # rewinds below the snapshot's mark
         session.insert(("g", "h", "i"))
-        session.rollback(snap)
+        session.rollback()
         assert [row["A"] for row in session.rows] == ["a", "d"]
         assert_session_identical(session)
 
     def test_nested_rollbacks(self):
         session = ChaseSession(SCHEMA, ["A -> B"])
         session.insert(("a", "b", "c"))
-        outer = session.snapshot()
+        assert session.snapshot() == 1
         session.insert(("d", "e", "f"))
-        inner = session.snapshot()
+        assert session.snapshot() == 2
         session.insert(("g", "h", "i"))
-        session.rollback(inner)
+        assert session.rollback() == 2
         assert len(session) == 2
-        session.rollback(outer)
+        assert session.rollback() == 1
         assert len(session) == 1
+        assert session.snapshots == []
         assert_session_identical(session)
 
 
@@ -299,9 +300,9 @@ class TestAdoptAndReset:
         session.insert(("a", "b1", "c"))
         unknown = null()
         session.insert(("a", unknown, "c"))
-        snap = session.snapshot()
+        session.snapshot()
         session.adopt()
-        session.rollback(snap)
+        session.rollback()
         assert session.rows[1]["B"] is unknown
         assert session.substitutions() == {unknown: "b1"}
         assert_session_identical(session)
@@ -346,7 +347,7 @@ class TestAdoptAndReset:
 
     def test_compact_sheds_history_and_keeps_state(self):
         session = ChaseSession(SCHEMA, ["A -> B"])
-        snap_before = session.snapshot()
+        session.snapshot()
         session.insert(("a", null(), "c1"))
         session.insert(("a", "b1", "c1"))  # grounding merges journal
         session.adopt()                    # rawset + dereg entries journal
@@ -364,7 +365,7 @@ class TestAdoptAndReset:
         session.delete(1)
         assert_session_identical(session)
         # a pre-compact snapshot is honored through the rebuild fallback
-        session.rollback(snap_before)
+        session.rollback()
         assert len(session) == 0
         assert_session_identical(session)
 
@@ -526,14 +527,16 @@ def test_session_field_identical_after_every_op(ops, fds):
         elif kind == "compact":
             session.compact()  # semantic no-op; mirror unchanged
         elif kind == "snapshot":
-            snapshots.append((session.snapshot(), list(mirror)))
+            session.snapshot()
+            snapshots.append(list(mirror))
             continue
-        else:  # rollback
+        else:  # rollback: to any outstanding snapshot, popping those above
             if not snapshots:
                 continue
-            token, saved = snapshots.pop(index % len(snapshots))
-            session.rollback(token)
-            mirror = list(saved)
+            depth = index % len(snapshots)
+            while len(snapshots) > depth:
+                session.rollback()
+                mirror = snapshots.pop()
         assert [tuple(r.values) for r in session.rows] == [
             tuple(r.values) for r in mirror
         ]

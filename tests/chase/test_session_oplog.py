@@ -94,13 +94,18 @@ class TestEmission:
         kinds = [record[0] for record in records]
         assert kinds == ["insert"] * 16 + ["delete"]  # no compact record
 
-    def test_rollback_and_snapshot_are_not_session_records(self):
+    def test_snapshot_stack_ops_are_records_their_restore_is_not(self):
         session, records = recording_session()
         session.insert(("a", "b", "c"))
-        snap = session.snapshot()
+        session.snapshot()
         session.insert(("a", "b9", "c9"))
-        session.rollback(snap)  # restoration re-applies rows internally
-        assert [record[0] for record in records] == ["insert", "insert"]
+        session.rollback()  # restoration re-applies rows internally
+        session.snapshot()
+        session.discard_snapshots()
+        session.discard_snapshots()  # nothing outstanding: no record
+        assert [record[0] for record in records] == [
+            "insert", "snapshot", "insert", "rollback", "snapshot", "discard",
+        ]
 
     def test_multi_column_fill_does_not_reemit(self):
         session, records = recording_session(fds=[])

@@ -1,10 +1,18 @@
 """Tests for the union-find substrate."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chase import ChaseSession, VectorChaseState
 from repro.chase.unionfind import UnionFind
+from repro.core.relation import Relation
+from repro.core.values import null
+
+from ..helpers import schema_of
 
 
 class TestBasics:
@@ -119,3 +127,28 @@ def test_class_count_decreases_by_real_merges(pairs):
     for a, b in pairs:
         uf.union(a, b)
     assert len(uf.classes()) == 10 - uf.merges
+
+
+def _merged_states():
+    """A vector state and a session, each after NS-rule merges (and the
+    session after a snapshot, a poisoning insert and its rollback)."""
+    schema, fds = schema_of("A B C"), ["A -> B", "B -> C"]
+    rows = [("a", null(), "c"), ("a", "b", null()), ("x", "y", "z")]
+    state = VectorChaseState(Relation(schema, rows), fds)
+    state.run_vectorized()
+    session = ChaseSession(schema, fds, rows)
+    session.snapshot()
+    session.insert(("a", "b9", "c"))
+    session.rollback()
+    return state, session
+
+
+def test_chase_states_are_freed_without_the_cycle_collector():
+    # the union-find holds no callback into its state, so neither state
+    # is a reference cycle: dropping the last reference frees it
+    gc.disable()
+    try:
+        refs = [weakref.ref(state) for state in _merged_states()]
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -342,6 +342,24 @@ class TestSnapshotCheckpointInterplay:
         with pytest.raises(OpError):
             recovered.rollback()  # the discard emptied the stack durably
 
+    def test_a_snapshot_taken_on_the_session_is_journalled(self, root):
+        # one stack, on the session: its own snapshot and rollback pass
+        # the journal hook as the relation's do
+        db = open_db(root)
+        people = seed_people(db)
+        assert people.session.snapshot() == 1
+        people.insert(("Cid", "60601", "Chicago"))
+        assert people.session.rollback() == 1
+        wal = wal_path(root).read_text().splitlines()
+        ops = [json.loads(line)["op"] for line in wal]
+        assert ops == ["insert", "insert", "snapshot", "insert", "rollback"]
+        recovered = open_db(root)["people"]
+        assert len(recovered) == len(people) == 2
+        assert_recovered_identical(recovered, people.session)
+        people.session.snapshot()
+        with pytest.raises(DatabaseError, match="outstanding snapshot"):
+            db.checkpoint()
+
     def test_outstanding_snapshot_survives_recovery(self, root):
         db = open_db(root)
         people = seed_people(db)

@@ -28,7 +28,6 @@ from repro.core.values import NOTHING, is_null, null
 from repro.db import Database, ManagedRelation
 from repro.db.storage import WAL_NAME
 from repro.errors import ReproError
-from repro.opschema import SessionTarget
 
 from ..helpers import schema_of
 from ..strategies import assert_recovered_identical
@@ -135,10 +134,10 @@ def apply_op(target, op):
 
 def reference_after(ops):
     """The uninterrupted in-memory session after ``ops``."""
-    target = SessionTarget(ChaseSession(SCHEMA, FDS))
+    session = ChaseSession(SCHEMA, FDS)
     for op in ops:
-        apply_op(target, op)
-    return target
+        apply_op(session, op)
+    return session
 
 
 @pytest.mark.parametrize("seed", [7, 23, 61, 101])

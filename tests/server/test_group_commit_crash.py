@@ -75,7 +75,7 @@ def client_acked_seqs(tmp_path: Path, label: str) -> list:
 def reference_replay(records: list) -> ChaseSession:
     """The durable records driven through a fresh session serially."""
     session = ChaseSession(RelationSchema("r", ATTRS), fds_from_spec(FDS))
-    replay(session, records, ValueCodec(), base_seq=0, snapshots=[])
+    replay(session, records, ValueCodec(), base_seq=0)
     return session
 
 

@@ -78,6 +78,11 @@ class TestStrongConventionRouting:
         with pytest.raises(ValueError):
             check_fds(rel("A", [("a",)]), [], method="quantum")
 
+    @pytest.mark.parametrize("method", ["auto", "sortmerge", "pairwise", "batched"])
+    def test_unknown_convention_is_refused_before_dispatch(self, method):
+        with pytest.raises(ConventionError, match="bogus"):
+            check_fds(rel("A B", [("a", 1)]), ["A -> B"], "bogus", method=method)
+
 
 class TestTheorem3Preconditions:
     def test_verify_minimal_raises_on_non_minimal(self):
